@@ -66,14 +66,16 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
                 if header.is_invalid() || header.is_merge() || header.is_tombstone() {
                     continue;
                 }
-                // Exact liveness: any newer record for this key above `addr`
-                // supersedes it (deltas don't supersede their base).
-                match self.newest_version_above(&key, addr, !header.is_delta(), session) {
-                    Some(_) => {} // superseded
-                    None => {
-                        if self.copy_to_tail(&key, &value, header, session) {
-                            rolled += 1;
-                        }
+                // Exact liveness: any newer base for this key above `addr`
+                // supersedes it; newer deltas don't, but a base rolled to
+                // the tail would shadow them, so the copy absorbs them.
+                if let Some(deltas) = self.live_deltas_above(&key, addr, session) {
+                    let value = match deltas {
+                        Some(d) if !header.is_delta() => inner.functions.merge(&value, &d),
+                        _ => value,
+                    };
+                    if self.copy_to_tail(&key, &value, header, session) {
+                        rolled += 1;
                     }
                 }
                 session.refresh();
@@ -83,19 +85,18 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
         rolled
     }
 
-    /// Finds the newest record for `key` strictly above `bound`.
-    /// `bases_only` ignores delta records (a delta above a base does not
-    /// supersede the base). Blocking reads for the cold chain.
-    fn newest_version_above(
-        &self,
-        key: &K,
-        bound: Address,
-        _bases_only: bool,
-        session: &Session<K, V, F>,
-    ) -> Option<Address> {
+    /// Walks `key`'s chain down to `bound`: `None` if a base record (or
+    /// tombstone) for `key` lies strictly above it — the record at `bound`
+    /// is superseded — else `Some` of the merged CRDT deltas for `key`
+    /// above it (`Some(None)` when there are none). Blocking reads for the
+    /// cold chain.
+    fn live_deltas_above(&self, key: &K, bound: Address, session: &Session<K, V, F>) -> Option<Option<V>> {
         let inner = &self.inner;
         let hash = hash_key(key);
-        let slot = inner.index.find_tag(hash, Some(session.guard()))?;
+        let mut deltas: Option<V> = None;
+        let Some(slot) = inner.index.find_tag(hash, Some(session.guard())) else {
+            return Some(deltas);
+        };
         let mut addr = slot.load().address();
         let mut fallbacks: Vec<Address> = Vec::new();
         loop {
@@ -107,7 +108,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
                         addr = rec.header().prev();
                         continue;
                     }
-                    None => return None, // evicted mid-scan; compaction CAS will catch changes
+                    None => return Some(deltas), // evicted mid-scan; compaction CAS will catch changes
                 }
             }
             if !addr.is_valid() || addr <= bound || addr < inner.log.begin_address() {
@@ -116,30 +117,40 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
                         addr = a;
                         continue;
                     }
-                    None => return None,
+                    None => return Some(deltas),
                 }
             }
-            let (header, rec_key) = match inner.log.get(addr) {
+            // One residency check per record: the merge prong is read from
+            // the same pointer, so a head shift between two lookups cannot
+            // drop it.
+            let (header, record, second) = match inner.log.get(addr) {
                 Some(p) => {
                     let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-                    (rec.header(), Some(rec.key()))
+                    let h = rec.header();
+                    if h.is_merge() {
+                        (h, None, Some(unsafe { crate::record::MergeRecord::second_address(p) }))
+                    } else {
+                        (h, Some((rec.key(), rec.read_value())), None)
+                    }
                 }
                 None => match self.read_record_blocking(addr) {
-                    Some((h, k, _)) => (h, Some(k)),
-                    None => (RecordHeader(INVALID_BIT | crate::record::LIVE_BIT), None),
+                    Some((h, k, v)) => (h, Some((k, v)), None),
+                    None => (RecordHeader(INVALID_BIT | crate::record::LIVE_BIT), None, None),
                 },
             };
             if header.is_merge() {
-                if let Some(p) = inner.log.get(addr) {
-                    fallbacks.push(unsafe { crate::record::MergeRecord::second_address(p) });
-                }
+                fallbacks.extend(second);
                 addr = header.prev();
                 continue;
             }
             if !header.is_invalid() {
-                if let Some(k) = rec_key {
-                    if k == *key && !header.is_delta() {
-                        return Some(addr);
+                if let Some((k, v)) = record {
+                    if k == *key {
+                        if !header.is_delta() {
+                            return None;
+                        }
+                        let f = &inner.functions;
+                        deltas = Some(deltas.map_or(v, |d| f.merge(&d, &v)));
                     }
                 }
             }

@@ -886,8 +886,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                     let ro = inner.log.ipu_boundary();
                     // Trace only the mutable suffix: anything deeper gets
                     // shadowed by the new tail record anyway (Alg 3).
-                    if let Some(laddr) = self.find_in_memory_above(key, entry.address(), ro) {
-                        let p = inner.log.get(laddr).expect("mutable record resident");
+                    if let Some((_, p)) = self.find_in_memory_above(key, entry.address(), ro) {
                         let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
                         if !rec.header().is_tombstone() && !rec.header().is_delta() {
                             f.concurrent_writer(key, value, rec.value_cell());
@@ -993,8 +992,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                     let head = inner.log.head_address();
                     let chain_head = self.chain_prev_for_new_record(entry.address());
                     match self.find_in_memory_above(key, chain_head, head) {
-                        Some(laddr) => {
-                            let p = inner.log.get(laddr).expect("resident");
+                        Some((laddr, p)) => {
                             let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
                             let h = rec.header();
                             if h.is_tombstone() {
@@ -1004,7 +1002,11 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                                 }
                                 continue;
                             }
-                            match inner.log.classify(laddr) {
+                            // Classify against the walk's head snapshot: a
+                            // flush completion may have pushed the live head
+                            // past `laddr` since, but its frame stays mapped
+                            // until this guard refreshes.
+                            match inner.log.classify_with_head(laddr, head) {
                                 Region::Mutable => {
                                     f.in_place_updater(key, input, rec.value_cell());
                                     self.count_write(&self.rec.in_place);
@@ -1043,7 +1045,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                                     }
                                     continue;
                                 }
-                                Region::OnDisk => unreachable!("resident record"),
+                                Region::OnDisk => unreachable!("found at or above the head snapshot"),
                             }
                         }
                         None => {
@@ -1584,17 +1586,20 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     }
 
     /// Walks the in-memory chain from `from`, returning the first record
-    /// matching `key` at an address `>= floor`. Merge records are followed
-    /// (both prongs are at/below the disk boundary by construction).
-    fn find_in_memory_above(&self, key: &K, from: Address, floor: Address) -> Option<Address> {
+    /// matching `key` at an address `>= floor`, with its pointer. Merge
+    /// records are followed (both prongs are at/below the disk boundary by
+    /// construction). `floor` is a region boundary loaded under this
+    /// session's guard, so residency is judged against it, not the live
+    /// head: a record found here stays readable until the next refresh.
+    fn find_in_memory_above(&self, key: &K, from: Address, floor: Address) -> Option<(Address, *mut u8)> {
         let inner = &self.store.inner;
         let mut addr = from;
         while addr.is_valid() && addr >= floor && addr >= inner.log.begin_address() {
-            let p = inner.log.get(addr)?;
+            let p = inner.log.get_with_head(addr, floor)?;
             let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
             let h = rec.header();
             if !h.is_invalid() && !h.is_merge() && rec.key() == *key {
-                return Some(addr);
+                return Some((addr, p));
             }
             addr = h.prev();
         }
@@ -1615,7 +1620,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
             if addr < floor {
                 return Some(addr);
             }
-            let Some(p) = inner.log.get(addr) else { return Some(addr) };
+            let Some(p) = inner.log.get_with_head(addr, floor) else { return Some(addr) };
             let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
             let h = rec.header();
             debug_assert!(h.is_invalid() || h.is_merge() || rec.key() != *key);

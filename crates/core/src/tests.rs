@@ -597,6 +597,11 @@ fn gc_compact_preserves_live_keys() {
     for k in 5000..8000u64 {
         s.upsert(&k, &1).unwrap();
     }
+    // CRDT deltas above cold bases: the rolled copy of each base must
+    // absorb them, or it would shadow them at the tail.
+    for k in 25..50u64 {
+        assert!(matches!(s.rmw(&k, &5), Ok(Outcome::Done)), "disk-resident RMW appends a delta");
+    }
     store.log().flush_barrier().unwrap();
     s.refresh();
     let compact_to = store.log().safe_read_only_address();
@@ -608,7 +613,7 @@ fn gc_compact_preserves_live_keys() {
         assert_eq!(read_now(&s, k), Some(k + 1000), "overwritten key {k}");
     }
     for k in 25..50u64 {
-        assert_eq!(read_now(&s, k), Some(k + 7), "old live key {k}");
+        assert_eq!(read_now(&s, k), Some(k + 7 + 5), "old live key {k} with its delta");
     }
 }
 

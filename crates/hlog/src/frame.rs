@@ -12,7 +12,12 @@ pub const FRAME_ALIGN: usize = 4096;
 
 /// One sector-aligned, heap-allocated page frame.
 pub struct Frame {
+    /// `base` rounded up to [`FRAME_ALIGN`].
     ptr: *mut u8,
+    len: usize,
+    /// The underlying allocation: `len + FRAME_ALIGN - 1` bytes at the
+    /// allocator's default alignment.
+    base: *mut u8,
     layout: Layout,
 }
 
@@ -23,12 +28,23 @@ unsafe impl Sync for Frame {}
 
 impl Frame {
     /// Allocates a zeroed frame of `size` bytes.
+    ///
+    /// The allocation over-asks by `FRAME_ALIGN - 1` bytes at default
+    /// alignment and aligns inside it: an over-aligned `alloc_zeroed` takes
+    /// the allocator's allocate-then-memset path, touching every byte of
+    /// every frame at store build and recovery, while a default-aligned one
+    /// is `calloc`, which hands large requests fresh zero pages untouched.
     pub fn new(size: usize) -> Self {
-        let layout = Layout::from_size_align(size, FRAME_ALIGN).expect("valid frame layout");
-        // Safety: layout has nonzero size (asserted by config validation).
-        let ptr = unsafe { alloc_zeroed(layout) };
-        assert!(!ptr.is_null(), "frame allocation failed");
-        Self { ptr, layout }
+        let layout = Layout::from_size_align(size + FRAME_ALIGN - 1, std::mem::align_of::<u64>())
+            .expect("valid frame layout");
+        // Safety: layout has nonzero size.
+        let base = unsafe { alloc_zeroed(layout) };
+        assert!(!base.is_null(), "frame allocation failed");
+        let pad = (FRAME_ALIGN - base as usize % FRAME_ALIGN) % FRAME_ALIGN;
+        // Safety: `pad < FRAME_ALIGN`, so `[ptr, ptr + size)` lies inside
+        // the `size + FRAME_ALIGN - 1` allocated bytes.
+        let ptr = unsafe { base.add(pad) };
+        Self { ptr, len: size, base, layout }
     }
 
     /// Base pointer of the frame.
@@ -40,12 +56,12 @@ impl Frame {
     /// Frame size in bytes.
     #[inline]
     pub fn len(&self) -> usize {
-        self.layout.size()
+        self.len
     }
 
     #[allow(dead_code)]
     pub fn is_empty(&self) -> bool {
-        self.layout.size() == 0
+        self.len == 0
     }
 
     /// Copies the frame contents out (used by the flush path; the frame is
@@ -65,8 +81,8 @@ impl Frame {
 
 impl Drop for Frame {
     fn drop(&mut self) {
-        // Safety: ptr/layout came from alloc_zeroed above.
-        unsafe { dealloc(self.ptr, self.layout) };
+        // Safety: base/layout came from alloc_zeroed above.
+        unsafe { dealloc(self.base, self.layout) };
     }
 }
 

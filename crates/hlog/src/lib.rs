@@ -467,12 +467,21 @@ impl HybridLog {
     /// Classifies `addr` per the HybridLog update scheme (Tables 1 and 2).
     #[inline]
     pub fn classify(&self, addr: Address) -> Region {
-        let a = addr.raw();
-        if a >= self.ipu_boundary().raw() {
+        self.classify_with_head(addr, self.head_address())
+    }
+
+    /// [`HybridLog::classify`] against a head snapshot the caller took under
+    /// its current epoch guard (see [`HybridLog::get_with_head`]). A record
+    /// at or above that snapshot classifies as resident even if the live
+    /// head has since moved past it: its frame stays mapped until the guard
+    /// refreshes, so reading it is still sound.
+    #[inline]
+    pub fn classify_with_head(&self, addr: Address, head: Address) -> Region {
+        if addr >= self.ipu_boundary() {
             Region::Mutable
-        } else if a >= self.safe_ipu_boundary().raw() {
+        } else if addr >= self.safe_ipu_boundary() {
             Region::Fuzzy
-        } else if a >= self.inner.head.load(Ordering::SeqCst) {
+        } else if addr >= head {
             Region::ReadOnly
         } else {
             Region::OnDisk
@@ -636,9 +645,24 @@ impl HybridLog {
     /// coordinated by the caller's record-level logic.
     #[inline]
     pub fn get(&self, addr: Address) -> Option<*mut u8> {
+        self.get_with_head(addr, self.head_address())
+    }
+
+    /// [`HybridLog::get`] bounded by a caller-held head snapshot instead of
+    /// the live head.
+    ///
+    /// `head` must be a region boundary (head, safe read-only or read-only
+    /// offset) loaded under the caller's current epoch guard. Frames of pages
+    /// the head later passes are closed only by an epoch-deferred action,
+    /// which cannot run before that guard refreshes — so every address at or
+    /// above the snapshot stays mapped, and an operation that walked a chain
+    /// against the snapshot can read and classify what it found without a
+    /// concurrent head shift turning it into a spurious miss.
+    #[inline]
+    pub fn get_with_head(&self, addr: Address, head: Address) -> Option<*mut u8> {
         let inner = &*self.inner;
         let a = addr.raw();
-        if a < inner.head.load(Ordering::SeqCst) || addr >= self.tail_address() {
+        if addr < head || addr >= self.tail_address() {
             return None;
         }
         let page = a >> inner.cfg.page_bits;

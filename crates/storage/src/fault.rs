@@ -563,19 +563,7 @@ impl Device for FaultDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemDevice;
-
-    fn write_blocking(d: &dyn Device, offset: u64, data: Vec<u8>) -> Result<(), IoError> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        d.write_async(offset, data, Box::new(move |r| tx.send(r).unwrap()));
-        rx.recv().unwrap()
-    }
-
-    fn read_blocking(d: &dyn Device, offset: u64, len: usize) -> Result<Vec<u8>, IoError> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        d.read_async(offset, len, Box::new(move |r| tx.send(r).unwrap()));
-        rx.recv().unwrap()
-    }
+    use crate::{read_blocking, write_blocking, MemDevice};
 
     #[test]
     fn fault_free_plan_is_transparent() {

@@ -158,6 +158,24 @@ pub trait Device: Send + Sync + 'static {
     fn stats(&self) -> DeviceStats;
 }
 
+/// Issues one read of `len` bytes at `offset` and blocks until it completes.
+/// For recovery and maintenance paths; the operation hot path never parks a
+/// thread on a single I/O.
+pub fn read_blocking(device: &dyn Device, offset: u64, len: usize) -> Result<Vec<u8>, IoError> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    device.read_async(offset, len, Box::new(move |r| drop(tx.send(r))));
+    rx.recv().unwrap_or_else(|_| Err(IoError::Failed("read callback dropped".into())))
+}
+
+/// Issues one write of `data` at `offset` and blocks until it completes
+/// (acknowledged, not necessarily durable: pair with
+/// [`Device::flush_barrier`]).
+pub fn write_blocking(device: &dyn Device, offset: u64, data: Vec<u8>) -> Result<(), IoError> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    device.write_async(offset, data, Box::new(move |r| drop(tx.send(r))));
+    rx.recv().unwrap_or_else(|_| Err(IoError::Failed("write callback dropped".into())))
+}
+
 /// Shared atomic counters behind [`DeviceStats`].
 #[derive(Debug, Default)]
 pub(crate) struct StatCells {

@@ -196,15 +196,11 @@ mod tests {
     use super::*;
 
     fn write_blocking(d: &MemDevice, offset: u64, data: Vec<u8>) {
-        let (tx, rx) = std::sync::mpsc::channel();
-        d.write_async(offset, data, Box::new(move |r| tx.send(r).unwrap()));
-        rx.recv().unwrap().unwrap();
+        crate::write_blocking(d, offset, data).unwrap();
     }
 
     fn read_blocking(d: &MemDevice, offset: u64, len: usize) -> Result<Vec<u8>, IoError> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        d.read_async(offset, len, Box::new(move |r| tx.send(r).unwrap()));
-        rx.recv().unwrap()
+        crate::read_blocking(d, offset, len)
     }
 
     #[test]

@@ -57,7 +57,7 @@
 //! half of the `Device::flush_barrier() -> Result` contract.
 
 use faster_metrics::WalMetrics;
-use faster_storage::{CompletionRing, Cqe, Device, IoError, Sqe};
+use faster_storage::{read_blocking, CompletionRing, Cqe, Device, IoError, Sqe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -181,7 +181,7 @@ impl Wal {
         metrics: Arc<WalMetrics>,
         skip_lsn: Lsn,
     ) -> (Arc<Self>, Vec<WalRecord>) {
-        let scan = scan_device(&device, cfg.segment_size);
+        let scan = scan_device(&*device, cfg.segment_size);
         let replay: Vec<WalRecord> =
             scan.records.iter().filter(|r| r.lsn > skip_lsn).cloned().collect();
         (Self::start(device, cfg, metrics, scan, skip_lsn), replay)
@@ -499,6 +499,7 @@ fn encode_record(lsn: Lsn, generation: u32, payload: &[u8]) -> Vec<u8> {
     out
 }
 
+#[derive(Debug, PartialEq, Eq)]
 struct ScanResult {
     records: Vec<WalRecord>,
     tail: u64,
@@ -521,26 +522,29 @@ impl ScanResult {
     }
 }
 
+/// Decodes a record header: `(checksum, lsn, payload len, generation)`.
+fn decode_header(hdr: &[u8]) -> (u64, Lsn, usize, u32) {
+    let rd64 = |i: usize| u64::from_le_bytes(hdr[i..i + 8].try_into().unwrap());
+    let len = u32::from_le_bytes(hdr[16..20].try_into().unwrap()) as usize;
+    let gen = u32::from_le_bytes(hdr[20..24].try_into().unwrap());
+    (rd64(0), rd64(8), len, gen)
+}
+
 /// Walks the surviving log: skips truncated front segments, validates each
 /// record (checksum, LSN continuity, generation monotonicity), stops at the
-/// first invalid one — the torn-record cutoff.
-fn scan_device(device: &Arc<dyn Device>, seg: u64) -> ScanResult {
+/// first invalid one — the torn-record cutoff. Records are parsed from a
+/// [`ScanWindow`], so a full segment costs one device read, not two per
+/// record (DESIGN.md §10).
+fn scan_device(device: &dyn Device, seg: u64) -> ScanResult {
     let sector = device.sector_size() as u64;
     let mut out = ScanResult::fresh();
-
-    // Find the first readable segment (truncation reclaims whole segments).
-    let mut off = 0u64;
-    loop {
-        match read_blocking(device, off, RECORD_HEADER) {
-            Ok(_) => break,
-            Err(IoError::Truncated { .. }) => off += seg,
-            Err(_) => {
-                out.tail = off;
-                return out; // empty (or fully truncated) log
-            }
-        }
+    let (mut off, live) = first_live_segment(device, seg);
+    if !live {
+        out.tail = off;
+        return out; // empty (or fully truncated) log
     }
 
+    let mut window = ScanWindow::new(device, seg, sector);
     let mut prev_lsn: Option<Lsn> = None;
     let mut prev_gen = 0u32;
     loop {
@@ -550,12 +554,8 @@ fn scan_device(device: &Arc<dyn Device>, seg: u64) -> ScanResult {
             off += remaining;
             continue;
         }
-        let Ok(hdr) = read_blocking(device, off, RECORD_HEADER) else { break };
-        let rd64 = |i: usize| u64::from_le_bytes(hdr[i..i + 8].try_into().unwrap());
-        let sum = rd64(0);
-        let lsn = rd64(8);
-        let len = u32::from_le_bytes(hdr[16..20].try_into().unwrap()) as usize;
-        let gen = u32::from_le_bytes(hdr[20..24].try_into().unwrap());
+        let Some(hdr) = window.bytes(off, RECORD_HEADER) else { break };
+        let (sum, lsn, len, gen) = decode_header(hdr);
         if sum == 0 && lsn == 0 && len == 0 && gen == 0 {
             if within == 0 {
                 break; // untouched segment start: end of log
@@ -569,11 +569,9 @@ fn scan_device(device: &Arc<dyn Device>, seg: u64) -> ScanResult {
         if RECORD_HEADER as u64 + len as u64 > remaining || gen == 0 {
             break;
         }
-        let Ok(payload) = read_blocking(device, off + RECORD_HEADER as u64, len) else { break };
-        let mut check = Vec::with_capacity(RECORD_HEADER - 8 + len);
-        check.extend_from_slice(&hdr[8..]);
-        check.extend_from_slice(&payload);
-        if faster_util::hash_bytes(&check) != sum {
+        let Some(rec) = window.bytes(off, RECORD_HEADER + len) else { break };
+        // The checksum covers `lsn | len | generation | payload`.
+        if faster_util::hash_bytes(&rec[8..]) != sum {
             break;
         }
         // After front truncation the first LSN is arbitrary; within the
@@ -588,8 +586,8 @@ fn scan_device(device: &Arc<dyn Device>, seg: u64) -> ScanResult {
         }
         prev_lsn = Some(lsn);
         prev_gen = prev_gen.max(gen);
-        out.records.push(WalRecord { lsn, payload });
-        off += RECORD_HEADER as u64 + len as u64;
+        out.records.push(WalRecord { lsn, payload: rec[RECORD_HEADER..].to_vec() });
+        off += (RECORD_HEADER + len) as u64;
     }
 
     out.tail = off;
@@ -599,26 +597,299 @@ fn scan_device(device: &Arc<dyn Device>, seg: u64) -> ScanResult {
     if off > aligned {
         // Rebuild the partial-tail-sector image the commit thread rewrites.
         out.tail_sector =
-            read_blocking(device, aligned, (off - aligned) as usize).unwrap_or_default();
+            window.bytes(aligned, (off - aligned) as usize).map(<[u8]>::to_vec).unwrap_or_default();
     }
     out
 }
 
-fn read_blocking(device: &Arc<dyn Device>, offset: u64, len: usize) -> Result<Vec<u8>, IoError> {
-    let (tx, rx) = std::sync::mpsc::channel();
-    device.read_async(offset, len, Box::new(move |r| {
-        let _ = tx.send(r);
-    }));
-    match rx.recv() {
-        Ok(r) => r,
-        Err(_) => Err(IoError::Failed("WAL read callback dropped".into())),
+/// Offset of the first segment truncation has not reclaimed, and whether it
+/// is readable (`false`: the log is empty or fully truncated, and the
+/// offset is its tail). Truncation reclaims a prefix of whole segments, so
+/// "truncated" is monotone in the segment index: gallop to a live segment,
+/// then bisect — O(log S) header probes instead of one per reclaimed
+/// segment.
+fn first_live_segment(device: &dyn Device, seg: u64) -> (u64, bool) {
+    let probe = |i: u64| read_blocking(device, i * seg, RECORD_HEADER);
+    let truncated = |r: &Result<Vec<u8>, IoError>| matches!(r, Err(IoError::Truncated { .. }));
+    let mut res = probe(0);
+    if !truncated(&res) {
+        return (0, res.is_ok());
+    }
+    // Invariant: segment `lo` is truncated; segment `hi` (once the gallop
+    // stops) is not, and `res` is its probe.
+    let (mut lo, mut hi) = (0u64, 1u64);
+    loop {
+        res = probe(hi);
+        if !truncated(&res) {
+            break;
+        }
+        lo = hi;
+        hi *= 2;
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        let r = probe(mid);
+        if truncated(&r) {
+            lo = mid;
+        } else {
+            (hi, res) = (mid, r);
+        }
+    }
+    (hi * seg, res.is_ok())
+}
+
+/// Read-ahead over the log device for [`scan_device`]: one buffered device
+/// read serves every record it covers, and a read never crosses a segment
+/// boundary.
+struct ScanWindow<'a> {
+    device: &'a dyn Device,
+    seg: u64,
+    sector: u64,
+    /// Device offset of `buf[0]`.
+    start: u64,
+    buf: Vec<u8>,
+    /// Lowest end offset of a read that failed: later window reads reaching
+    /// it are skipped (past the written extent they would fail again).
+    failed_end: u64,
+}
+
+impl<'a> ScanWindow<'a> {
+    fn new(device: &'a dyn Device, seg: u64, sector: u64) -> Self {
+        Self { device, seg, sector, start: 0, buf: Vec::new(), failed_end: u64::MAX }
+    }
+
+    /// The `len` bytes at `off` (within one segment), refilling the window
+    /// when they are not buffered; `None` if the device cannot supply them.
+    fn bytes(&mut self, off: u64, len: usize) -> Option<&[u8]> {
+        let end = off + len as u64;
+        if off < self.start || end > self.start + self.buf.len() as u64 {
+            let (start, buf) = self.fill(off, len).ok()?;
+            (self.start, self.buf) = (start, buf);
+        }
+        let at = (off - self.start) as usize;
+        Some(&self.buf[at..at + len])
+    }
+
+    /// Reads a window holding `[off, off + need)`: from the sector at or
+    /// below `off` to the segment end, halving the length on failure (the
+    /// final segment usually ends before its boundary). The last attempt is
+    /// exactly `[off, off + need)` — the read a per-record scan issues — so
+    /// where the scan stops, and on which error, does not depend on the
+    /// window size.
+    fn fill(&mut self, off: u64, need: usize) -> Result<(u64, Vec<u8>), IoError> {
+        let start = off / self.sector * self.sector;
+        let covers = off + need as u64 - start;
+        let mut len = (off / self.seg + 1) * self.seg - start;
+        while len > covers {
+            if start + len < self.failed_end {
+                match read_blocking(self.device, start, len as usize) {
+                    Ok(buf) => return Ok((start, buf)),
+                    Err(_) => self.failed_end = start + len,
+                }
+            }
+            len = len / 2 / self.sector * self.sector;
+        }
+        read_blocking(self.device, off, need).map(|buf| (off, buf))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faster_storage::{FaultDevice, MemDevice};
+    use faster_storage::{FaultDevice, MemDevice, TornWrite};
+    use faster_util::XorShift64;
+
+    /// The per-record scan `scan_device` replaced — two blocking reads per
+    /// record, one probe per truncated segment — kept as the oracle its
+    /// results must match exactly.
+    fn scan_device_per_record(device: &dyn Device, seg: u64) -> ScanResult {
+        let sector = device.sector_size() as u64;
+        let mut out = ScanResult::fresh();
+        let mut off = 0u64;
+        loop {
+            match read_blocking(device, off, RECORD_HEADER) {
+                Ok(_) => break,
+                Err(IoError::Truncated { .. }) => off += seg,
+                Err(_) => {
+                    out.tail = off;
+                    return out;
+                }
+            }
+        }
+        let mut prev_lsn: Option<Lsn> = None;
+        let mut prev_gen = 0u32;
+        loop {
+            let within = off % seg;
+            let remaining = seg - within;
+            if remaining < RECORD_HEADER as u64 {
+                off += remaining;
+                continue;
+            }
+            let Ok(hdr) = read_blocking(device, off, RECORD_HEADER) else { break };
+            let (sum, lsn, len, gen) = decode_header(&hdr);
+            if sum == 0 && lsn == 0 && len == 0 && gen == 0 {
+                if within == 0 {
+                    break;
+                }
+                off += remaining;
+                continue;
+            }
+            if RECORD_HEADER as u64 + len as u64 > remaining || gen == 0 {
+                break;
+            }
+            let Ok(payload) = read_blocking(device, off + RECORD_HEADER as u64, len) else { break };
+            let mut check = hdr[8..].to_vec();
+            check.extend_from_slice(&payload);
+            if faster_util::hash_bytes(&check) != sum {
+                break;
+            }
+            if let Some(p) = prev_lsn {
+                if lsn != p + 1 || gen < prev_gen {
+                    break;
+                }
+            }
+            if within == 0 {
+                out.segment_starts.push((off, lsn));
+            }
+            prev_lsn = Some(lsn);
+            prev_gen = prev_gen.max(gen);
+            out.records.push(WalRecord { lsn, payload });
+            off += RECORD_HEADER as u64 + len as u64;
+        }
+        out.tail = off;
+        out.last_lsn = prev_lsn.unwrap_or(0);
+        out.max_generation = prev_gen;
+        let aligned = off / sector * sector;
+        if off > aligned {
+            out.tail_sector = read_blocking(device, aligned, (off - aligned) as usize).unwrap_or_default();
+        }
+        out
+    }
+
+    /// `FASTER_FAULT_SEED_BASE .. + FASTER_FAULT_SEEDS` (default `0..count`),
+    /// the sharding knobs of the fault-sweep CI jobs.
+    fn fault_seeds(default_count: u64) -> std::ops::Range<u64> {
+        let var = |name: &str| std::env::var(name).ok().and_then(|v| v.parse().ok());
+        let base = var("FASTER_FAULT_SEED_BASE").unwrap_or(0);
+        base..base + var("FASTER_FAULT_SEEDS").unwrap_or(default_count)
+    }
+
+    /// Builds a seeded random log and returns its surviving device image and
+    /// segment size: variable payloads (so records pad to segment hops and
+    /// straddle the scan's window reads), random group sizes, optional
+    /// front truncation, one or two generations (re-recovery in between),
+    /// and optionally a crash that tears a group write. Also reports whether
+    /// the crash fired.
+    fn seeded_log(seed: u64) -> (Arc<MemDevice>, u64, bool) {
+        let mut rng = XorShift64::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let seg = [512u64, 1024, 4096][rng.next_below(3) as usize];
+        let cfg = WalConfig { batch_window: Duration::ZERO, segment_size: seg };
+        let inner = MemDevice::new(1);
+        let generations = 1 + rng.next_below(2);
+        let mut crashed = false;
+        for g in 0..generations {
+            let dev = FaultDevice::wrap(inner.clone());
+            let wal = if g == 0 {
+                Wal::new(dev.clone(), cfg)
+            } else {
+                Wal::recover(dev.clone(), cfg, Arc::new(WalMetrics::default()), 0).0
+            };
+            let appends = 20 + rng.next_below(150);
+            let truncate_at = rng.next_below(appends + 1);
+            if g + 1 == generations && rng.next_below(3) > 0 {
+                let torn = match rng.next_below(3) {
+                    0 => TornWrite::Nothing,
+                    1 => TornWrite::Bytes(rng.next_below(seg) as usize),
+                    _ => TornWrite::SeededSectors { seed },
+                };
+                dev.arm_crash(rng.next_below(appends / 2 + 1), torn);
+            }
+            let mut i = 0;
+            'append: while i < appends {
+                let group = 1 + rng.next_below(8);
+                let mut last = 0;
+                for _ in 0..group {
+                    let len = rng.next_below((seg - RECORD_HEADER as u64).min(300)) as usize;
+                    let payload: Vec<u8> = (0..len).map(|b| (b as u64 ^ seed ^ i) as u8).collect();
+                    match wal.append(&payload) {
+                        Ok(lsn) => last = lsn,
+                        Err(_) => break 'append,
+                    }
+                    i += 1;
+                }
+                if wal.wait_durable(last).is_err() {
+                    break;
+                }
+                if i >= truncate_at && truncate_at > 0 {
+                    wal.truncate_below_lsn(last / 2);
+                }
+            }
+            drop(wal);
+            crashed = dev.crashed();
+        }
+        (inner, seg, crashed)
+    }
+
+    #[test]
+    fn scan_matches_per_record_oracle_on_seeded_logs() {
+        let (mut crashes, mut truncated, mut second_gen) = (0, 0, 0);
+        for seed in fault_seeds(48) {
+            let (dev, seg, crashed) = seeded_log(seed);
+            let got = scan_device(&*dev, seg);
+            let want = scan_device_per_record(&*dev, seg);
+            assert_eq!(got, want, "seed {seed}: chunked scan diverged from the per-record scan");
+            crashes += usize::from(crashed);
+            truncated += usize::from(got.segment_starts.first().is_some_and(|&(off, _)| off > 0));
+            second_gen += usize::from(got.max_generation == 2);
+        }
+        assert!(
+            crashes > 0 && truncated > 0 && second_gen > 0,
+            "seeds must cover torn groups ({crashes}), truncation ({truncated}) and a second \
+             generation ({second_gen})"
+        );
+    }
+
+    #[test]
+    fn scan_reads_each_segment_about_once() {
+        let seg = 4096u64;
+        for segments in [4u64, 16, 64] {
+            let dev = MemDevice::new(1);
+            let wal = fresh(dev.clone(), 0, seg);
+            let mut n = 0u64;
+            while wal.shared.state.lock().unwrap().tail < segments * seg {
+                for _ in 0..8 {
+                    n = wal.append(&[n as u8; 100]).unwrap();
+                }
+                wal.wait_durable(n).unwrap();
+            }
+            // Reclaim the front three quarters, as a checkpoint-covered log
+            // would be, so the scan must find the first live segment too.
+            let truncated = segments * 3 / 4;
+            let first_live = wal.shared.state.lock().unwrap().segment_starts[truncated as usize].1;
+            wal.truncate_below_lsn(first_live - 1);
+            drop(wal);
+
+            let before = dev.stats().reads;
+            let scan = scan_device(&*dev, seg);
+            let reads = dev.stats().reads - before;
+            let live = segments + 1 - truncated;
+            assert_eq!(scan.segment_starts.len() as u64, live);
+            let per_record = {
+                let before = dev.stats().reads;
+                assert_eq!(scan_device_per_record(&*dev, seg), scan);
+                dev.stats().reads - before
+            };
+            // One read per live segment, a logarithmic first-segment search,
+            // and the halving reads that find the end of the final segment.
+            let log2 = |x: u64| 64 - x.leading_zeros() as u64;
+            let budget = live + 2 * log2(truncated) + 2 * log2(seg / 512) + 2;
+            assert!(
+                reads <= budget,
+                "{segments} segments: {reads} reads, budget {budget} (per-record scan: {per_record})"
+            );
+            assert!(per_record >= 2 * scan.records.len() as u64);
+        }
+    }
 
     fn fresh(dev: Arc<dyn Device>, window_us: u64, seg: u64) -> Arc<Wal> {
         Wal::new(
@@ -745,7 +1016,7 @@ mod tests {
         drop(wal);
         // Corrupt one byte of record 15's payload directly on the device:
         // replay must stop before it, keeping the valid prefix only.
-        let scan = scan_device(&(dev.clone() as Arc<dyn Device>), 1 << 16);
+        let scan = scan_device(&*dev, 1 << 16);
         assert_eq!(scan.records.len(), 20);
         let mut off = 0u64;
         for r in &scan.records[..14] {
