@@ -9,11 +9,6 @@
 //!    traffic.
 //! 3. **Read cache on/off** (Appendix D) on a read-heavy, cold-heavy
 //!    workload.
-//! 4. **One-hop prev-chain prefetch in `read_batch`** (the ROADMAP
-//!    experiment): batched reads against long resident hash chains, and
-//!    against a cold dataset behind the read cache, with
-//!    `prefetch_prev_chain` off vs on — reporting throughput and the
-//!    cache hit rate from the new metrics counters.
 
 use faster_bench::*;
 use faster_core::{BlindKv, CountStore, FasterKv, FasterKvConfig, OpError};
@@ -100,97 +95,5 @@ fn main() {
             device.stats().reads
         );
         emit("ablation_readcache", if enabled { "on" } else { "off" }, "Mops", format!("{mops:.4}"));
-    }
-
-    // ---- 4. read_batch one-hop prev-chain prefetch (ROADMAP experiment).
-    let batch = 64usize;
-
-    // 4a. Resident chains: few tag bits force hash-chain collisions, so
-    // batched reads walk the prev-chain in memory — the case the extra
-    // prefetch hop targets.
-    println!("# Ablation 4a: read_batch prev-chain prefetch, resident collision chains");
-    let chain_keys = keys;
-    // ~8 keys per (bucket, tag) slot: 2^(k_bits + tag_bits) ≈ keys / 8.
-    let tag_bits = 3u8;
-    let k_bits = (63 - chain_keys.leading_zeros() as u8)
-        .saturating_sub(tag_bits + 2)
-        .clamp(4, 30);
-    for prefetch in [false, true] {
-        let cfg = FasterKvConfig::for_keys(chain_keys)
-            .with_index(faster_index::IndexConfig { k_bits, tag_bits, max_resize_chunks: 64 })
-            .with_log(in_memory_log(chain_keys, 24, 0.9))
-            .with_prefetch_prev_chain(prefetch);
-        let store: FasterKv<u64, u64, BlindKv<u64>> =
-            FasterKv::new(cfg, BlindKv::new(), MemDevice::new(2));
-        let session = store.start_session();
-        for k in 0..chain_keys {
-            session.upsert(&k, &k).unwrap();
-        }
-        session.complete_pending(true);
-        let wl = WorkloadConfig::new(chain_keys, Mix::r_bu(100, 0), Distribution::Uniform);
-        let mut gen = faster_ycsb::WorkloadGenerator::new(&wl, 7);
-        let mut keys_buf: Vec<u64> = Vec::with_capacity(batch);
-        let start = Instant::now();
-        let mut ops = 0u64;
-        while start.elapsed() < dur {
-            keys_buf.clear();
-            keys_buf.extend((0..batch).map(|_| gen.next_op().key));
-            std::hint::black_box(session.read_batch(&keys_buf, &0));
-            ops += batch as u64;
-        }
-        let mops = ops as f64 / start.elapsed().as_secs_f64() / 1e6;
-        let probe_len = store.metrics().index.avg_probe_len();
-        println!(
-            "ablation-prefetch-chain prev_chain={prefetch:5} {mops:8.3} Mops (avg probe {probe_len:.2})"
-        );
-        emit("ablation_prefetch_chain", if prefetch { "on" } else { "off" }, "Mops", format!("{mops:.4}"));
-    }
-
-    // 4b. Cold zipf reads behind the read cache: the hit/miss counters
-    // show whether the prefetch hop changes cache effectiveness or only
-    // overlaps latency.
-    println!("# Ablation 4b: read_batch prev-chain prefetch, cold zipf reads + read cache");
-    for prefetch in [false, true] {
-        let cfg = FasterKvConfig::for_keys(cold_keys)
-            .with_log(log)
-            .with_read_cache(cache)
-            .with_prefetch_prev_chain(prefetch);
-        let device = MemDevice::with_latency(4, LatencyModel::nvme());
-        let store: FasterKv<u64, u64, BlindKv<u64>> =
-            FasterKv::new(cfg, BlindKv::new(), device.clone());
-        {
-            let s = store.start_session();
-            for k in 0..cold_keys {
-                s.upsert(&k, &k).unwrap();
-            }
-            store.log().flush_barrier().unwrap();
-        }
-        let session = store.start_session();
-        let wl = WorkloadConfig::new(cold_keys, Mix::r_bu(100, 0), Distribution::zipf_default());
-        let mut gen = faster_ycsb::WorkloadGenerator::new(&wl, 11);
-        let mut keys_buf: Vec<u64> = Vec::with_capacity(batch);
-        let start = Instant::now();
-        let mut ops = 0u64;
-        while start.elapsed() < dur {
-            keys_buf.clear();
-            keys_buf.extend((0..batch).map(|_| gen.next_op().key));
-            let rs = session.read_batch(&keys_buf, &0);
-            if rs.iter().any(|r| matches!(r, Err(OpError::Pending(_)))) {
-                session.complete_pending(true);
-            }
-            ops += batch as u64;
-        }
-        let mops = ops as f64 / start.elapsed().as_secs_f64() / 1e6;
-        let m = store.metrics();
-        let rc = m.read_cache.expect("cache configured");
-        println!(
-            "ablation-prefetch-cold prev_chain={prefetch:5} {mops:8.3} Mops rc_hit_rate {:.4} ({} hits / {} misses, {} inserts)",
-            rc.hit_rate(),
-            rc.hits,
-            rc.misses,
-            rc.inserts
-        );
-        emit("ablation_prefetch_cold", if prefetch { "on" } else { "off" }, "Mops", format!("{mops:.4}"));
-        emit("ablation_prefetch_cold", if prefetch { "on" } else { "off" }, "HitRate", format!("{:.4}", rc.hit_rate()));
     }
 }

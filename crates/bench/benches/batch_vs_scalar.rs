@@ -12,7 +12,7 @@
 //! (default 64), `FASTER_BENCH_OPS` (default 4 M per mode).
 
 use faster_bench::{in_memory_log, SumStore};
-use faster_core::{FasterKv, FasterKvConfig, Outcome};
+use faster_core::{BatchOp, FasterKv, FasterKvConfig, Outcome};
 use faster_storage::MemDevice;
 use faster_util::XorShift64;
 use std::time::Instant;
@@ -92,11 +92,11 @@ fn main() {
     let scalar_rmw = report("scalar_rmw", 1, total_ops, t.elapsed().as_secs_f64());
 
     let t = Instant::now();
-    let mut rmw_buf: Vec<(u64, u64)> = Vec::with_capacity(batch);
+    let mut rmw_buf: Vec<BatchOp<u64, u64, u64>> = Vec::with_capacity(batch);
     for chunk in stream.chunks(batch) {
         rmw_buf.clear();
-        rmw_buf.extend(chunk.iter().map(|&k| (k, 1u64)));
-        std::hint::black_box(session.rmw_batch(&rmw_buf));
+        rmw_buf.extend(chunk.iter().map(|&k| BatchOp::Rmw { key: k, input: 1 }));
+        std::hint::black_box(session.execute_batch(&rmw_buf));
     }
     let batched_rmw = report("batched_rmw", batch, total_ops, t.elapsed().as_secs_f64());
 

@@ -12,10 +12,10 @@
 //!   above it, checked by tracing the chain (with blocking device reads for
 //!   the cold part — compaction is a maintenance path).
 
-use crate::record::{RecordHeader, RecordRef, DELTA_BIT, INVALID_BIT};
+use crate::record::{RecordBytes, RecordHeader, RecordRef, DELTA_BIT};
+use crate::session::{ChainWalk, Link, Step};
 use crate::{hash_key, FasterKv, Functions, Session};
 use faster_hlog::LogScanner;
-use faster_index::CreateOutcome;
 use faster_util::{Address, Pod};
 
 impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
@@ -66,17 +66,8 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
                 if header.is_invalid() || header.is_merge() || header.is_tombstone() {
                     continue;
                 }
-                // Exact liveness: any newer base for this key above `addr`
-                // supersedes it; newer deltas don't, but a base rolled to
-                // the tail would shadow them, so the copy absorbs them.
-                if let Some(deltas) = self.live_deltas_above(&key, addr, session) {
-                    let value = match deltas {
-                        Some(d) if !header.is_delta() => inner.functions.merge(&value, &d),
-                        _ => value,
-                    };
-                    if self.copy_to_tail(&key, &value, header, session) {
-                        rolled += 1;
-                    }
+                if self.roll(&key, addr, header, value, session) {
+                    rolled += 1;
                 }
                 session.refresh();
             }
@@ -85,129 +76,86 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
         rolled
     }
 
-    /// Walks `key`'s chain down to `bound`: `None` if a base record (or
-    /// tombstone) for `key` lies strictly above it — the record at `bound`
-    /// is superseded — else `Some` of the merged CRDT deltas for `key`
-    /// above it (`Some(None)` when there are none). Blocking reads for the
-    /// cold chain.
-    fn live_deltas_above(&self, key: &K, bound: Address, session: &Session<K, V, F>) -> Option<Option<V>> {
+    /// Rolls the record at `addr` to the tail if it is still live. The
+    /// liveness walk starts from the index-entry snapshot the publish CAS
+    /// expects, so anything appended to the chain meanwhile (a CRDT delta,
+    /// say) fails the CAS, and the walk re-runs to fold it in or to find the
+    /// record superseded. The copy links to the key's primary-log
+    /// predecessor: a read-cache chain head is spliced out, as for every
+    /// other new tail record (Appendix D).
+    fn roll(&self, key: &K, addr: Address, header: RecordHeader, value: V, session: &Session<K, V, F>) -> bool {
         let inner = &self.inner;
-        let hash = hash_key(key);
-        let mut deltas: Option<V> = None;
-        let Some(slot) = inner.index.find_tag(hash, Some(session.guard())) else {
-            return Some(deltas);
-        };
-        let mut addr = slot.load().address();
-        let mut fallbacks: Vec<Address> = Vec::new();
+        let bits = if header.is_delta() { DELTA_BIT } else { 0 };
         loop {
-            if crate::read_cache::is_rc(addr) {
-                // Read-cache head: skip to the primary record it caches.
-                match inner.rc.as_ref().and_then(|rc| rc.get(crate::read_cache::rc_untag(addr))) {
-                    Some(p) => {
-                        let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-                        addr = rec.header().prev();
-                        continue;
-                    }
-                    None => return Some(deltas), // evicted mid-scan; compaction CAS will catch changes
-                }
-            }
-            if !addr.is_valid() || addr <= bound || addr < inner.log.begin_address() {
-                match fallbacks.pop() {
-                    Some(a) => {
-                        addr = a;
-                        continue;
-                    }
-                    None => return Some(deltas),
-                }
-            }
-            // One residency check per record: the merge prong is read from
-            // the same pointer, so a head shift between two lookups cannot
-            // drop it.
-            let (header, record, second) = match inner.log.get(addr) {
-                Some(p) => {
-                    let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-                    let h = rec.header();
-                    if h.is_merge() {
-                        (h, None, Some(unsafe { crate::record::MergeRecord::second_address(p) }))
-                    } else {
-                        (h, Some((rec.key(), rec.read_value())), None)
-                    }
-                }
-                None => match self.read_record_blocking(addr) {
-                    Some((h, k, v)) => (h, Some((k, v)), None),
-                    None => (RecordHeader(INVALID_BIT | crate::record::LIVE_BIT), None, None),
-                },
+            let link = Link::from(inner.index.find_or_create_tag(hash_key(key), Some(session.guard())));
+            let head = match &link {
+                Link::Swap(_, entry) => entry.address(),
+                Link::Fresh(_) => Address::INVALID,
             };
-            if header.is_merge() {
-                fallbacks.extend(second);
-                addr = header.prev();
+            // Exact liveness: any newer base for this key above `addr`
+            // supersedes it; newer deltas don't, but a base rolled to the
+            // tail would shadow them, so the copy absorbs them.
+            let Some(deltas) = self.live_deltas_above(key, head, addr, session) else { return false };
+            let value = match deltas {
+                Some(d) if !header.is_delta() => inner.functions.merge(&value, &d),
+                _ => value,
+            };
+            if session.publish(link, key, bits, |v| *v = value).is_some() {
+                return true;
+            }
+        }
+    }
+
+    /// Walks `key`'s chain from `head` down to `bound`: `None` if a base
+    /// record (or tombstone) for `key` lies strictly above it — the record
+    /// at `bound` is superseded — else `Some` of the merged CRDT deltas for
+    /// `key` above it (`Some(None)` when there are none). Blocking reads
+    /// for the cold chain.
+    fn live_deltas_above(
+        &self,
+        key: &K,
+        head: Address,
+        bound: Address,
+        session: &Session<K, V, F>,
+    ) -> Option<Option<V>> {
+        let f = &self.inner.functions;
+        let floor = self.inner.log.begin_address().max(bound.offset_by(1));
+        let mut walk = ChainWalk::new();
+        // An evicted cache head has nothing to walk yet; the roll's publish
+        // refuses it too, and the roll re-walks once the entry is restored.
+        let mut addr = session.chain_prev_for_new_record(head).unwrap_or(Address::INVALID);
+        while let Some(next) = walk.resume(addr, floor) {
+            // A record that cannot be read ends its prong.
+            let Some(rec) = self.fetch_record_blocking(next) else {
+                addr = Address::INVALID;
                 continue;
-            }
-            if !header.is_invalid() {
-                if let Some((k, v)) = record {
-                    if k == *key {
-                        if !header.is_delta() {
-                            return None;
-                        }
-                        let f = &inner.functions;
-                        deltas = Some(deltas.map_or(v, |d| f.merge(&d, &v)));
-                    }
-                }
-            }
-            addr = header.prev();
-        }
-    }
-
-    /// Synchronous record read (maintenance paths only).
-    fn read_record_blocking(&self, addr: Address) -> Option<(RecordHeader, K, V)> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        self.inner.log.read_async(
-            addr,
-            RecordRef::<K, V>::size(),
-            Box::new(move |r| {
-                let _ = tx.send(r);
-            }),
-        );
-        let bytes = rx.recv().ok()?.ok()?;
-        RecordRef::<K, V>::parse_bytes(&bytes)
-    }
-
-    /// Re-appends `(key, value)` at the tail iff the entry is unchanged
-    /// since the liveness check (otherwise a newer update owns the key).
-    fn copy_to_tail(&self, key: &K, value: &V, header: RecordHeader, session: &Session<K, V, F>) -> bool {
-        let inner = &self.inner;
-        let hash = hash_key(key);
-        match inner.index.find_or_create_tag(hash, Some(session.guard())) {
-            CreateOutcome::Found(slot) => {
-                let entry = slot.load();
-                let addr = inner.log.allocate(RecordRef::<K, V>::size() as u32, session.guard());
-                let p = inner.log.get(addr).expect("fresh allocation resident");
-                let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-                let bits = if header.is_delta() { DELTA_BIT } else { 0 };
-                rec.init_header(RecordHeader::new(entry.address()).with(bits));
-                rec.init_key(key);
-                unsafe { *rec.value_mut() = *value };
-                if slot.cas_address(entry, addr).is_ok() {
-                    true
-                } else {
-                    rec.set_bits(INVALID_BIT);
-                    inner.log.note_dead_bytes(RecordRef::<K, V>::size() as u64);
-                    // Entry changed: a fresh update supersedes the old record
-                    // anyway, so dropping it is correct.
-                    false
-                }
-            }
-            CreateOutcome::Created(created) => {
-                let addr = inner.log.allocate(RecordRef::<K, V>::size() as u32, session.guard());
-                let p = inner.log.get(addr).expect("fresh allocation resident");
-                let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-                let bits = if header.is_delta() { DELTA_BIT } else { 0 };
-                rec.init_header(RecordHeader::new(Address::INVALID).with(bits));
-                rec.init_key(key);
-                unsafe { *rec.value_mut() = *value };
-                created.finalize(addr);
-                true
+            };
+            match walk.step(f, key, &rec) {
+                Step::Next(prev) => addr = prev,
+                Step::Deleted | Step::Base => return None,
             }
         }
+        Some(walk.acc)
+    }
+
+    /// The one blocking record fetch, for maintenance and analytics chain
+    /// walks (compaction liveness, `Session::read_history`): a resident
+    /// record is copied out of its frame, a cold one read back with one
+    /// blocking device read. `None` if the record cannot be read. These
+    /// paths block by design, so they keep the storage callback route
+    /// instead of a session's completion ring.
+    pub(crate) fn fetch_record_blocking(&self, addr: Address) -> Option<RecordBytes<Vec<u8>, K, V>> {
+        let log = &self.inner.log;
+        let size = RecordRef::<K, V>::size();
+        let bytes = match log.get(addr) {
+            // Safety: epoch-protected resident record of `size` bytes.
+            Some(p) => unsafe { std::slice::from_raw_parts(p, size) }.to_vec(),
+            None => {
+                let (tx, rx) = std::sync::mpsc::channel();
+                log.read_async(addr, size, Box::new(move |r| drop(tx.send(r))));
+                rx.recv().ok()?.ok()?
+            }
+        };
+        RecordBytes::parse(bytes)
     }
 }

@@ -57,8 +57,6 @@ pub use functions::{BlindKv, CountStore, Functions, ValueCell};
 pub use health::{HealthReason, StoreError, StoreHealth};
 pub use inmem::{InMemKv, InMemSession};
 pub use session::{BatchOp, Completion, OpError, OpResult, Outcome, Session};
-#[allow(deprecated)]
-pub use session::{BatchOutcome, CompletedOp, ReadResult, RmwResult};
 pub use varlen::{VarKv, VarValue};
 
 /// The documented public surface in one import: the store and its config
@@ -102,11 +100,6 @@ pub struct FasterKvConfig {
     pub read_cache: Option<HLogConfig>,
     /// Observability configuration (DESIGN.md §8).
     pub metrics: MetricsConfig,
-    /// Batched reads ([`Session::read_batch`]) additionally prefetch one
-    /// `prev`-chain hop for chain heads that miss the read cache, trading
-    /// an extra prefetch slot per op for fewer dependent-load stalls on
-    /// collided chains (ROADMAP prefetch experiment; see EXPERIMENTS.md).
-    pub prefetch_prev_chain: bool,
     /// Optional group-committed write-ahead log (DESIGN.md §10). `None`
     /// keeps the classic FASTER durability model (CPR checkpoints only);
     /// `Some` makes every mutating op append a logical record to the WAL
@@ -131,7 +124,6 @@ impl FasterKvConfig {
             refresh_interval: 64,
             read_cache: None,
             metrics: MetricsConfig::default(),
-            prefetch_prev_chain: false,
             wal: None,
             maintenance: None,
         }
@@ -151,7 +143,6 @@ impl FasterKvConfig {
             refresh_interval: 256,
             read_cache: None,
             metrics: MetricsConfig::default(),
-            prefetch_prev_chain: false,
             wal: None,
             maintenance: None,
         }
@@ -195,12 +186,6 @@ impl FasterKvConfig {
     /// Sets the observability configuration (DESIGN.md §8).
     pub fn with_metrics(mut self, metrics: MetricsConfig) -> Self {
         self.metrics = metrics;
-        self
-    }
-
-    /// Enables prev-chain prefetching in [`Session::read_batch`].
-    pub fn with_prefetch_prev_chain(mut self, on: bool) -> Self {
-        self.prefetch_prev_chain = on;
         self
     }
 

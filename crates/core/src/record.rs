@@ -217,22 +217,75 @@ impl<K: Pod, V: Pod> RecordRef<K, V> {
         unsafe { &*(self.value_ptr() as *const crate::functions::ValueCell<V>) }
     }
 
-    /// Serializes a record image into `buf` (used by recovery tests).
+    /// Decodes a record image (a log-scan slice or a storage read):
+    /// `None` for a short image or page padding.
     pub fn parse_bytes(bytes: &[u8]) -> Option<(RecordHeader, K, V)> {
-        if bytes.len() < Self::size() {
-            return None;
-        }
-        let raw = u64::from_le_bytes(bytes[0..8].try_into().ok()?);
-        let header = RecordHeader(raw);
-        if !header.is_live() {
-            return None;
-        }
-        let key = faster_util::pod_from_bytes::<K>(
-            &bytes[Self::KEY_OFFSET..Self::KEY_OFFSET + std::mem::size_of::<K>()],
-        );
-        let vo = Self::value_offset();
-        let value = faster_util::pod_from_bytes::<V>(&bytes[vo..vo + std::mem::size_of::<V>()]);
-        Some((header, key, value))
+        RecordBytes::<_, K, V>::parse(bytes).map(|r| (r.header(), r.key(), r.value()))
+    }
+}
+
+/// A record a chain walk can inspect, wherever its bytes are: resident in a
+/// log frame ([`RecordRef`]) or read back from storage ([`RecordBytes`]).
+pub trait RecordView<K: Pod, V: Pod> {
+    fn header(&self) -> RecordHeader;
+    fn key(&self) -> K;
+    fn value(&self) -> V;
+    /// A merge record's second chain address (Appendix B), kept in the key
+    /// slot. Only meaningful when the header's merge bit is set.
+    fn merge_second(&self) -> Address;
+}
+
+impl<K: Pod, V: Pod> RecordView<K, V> for RecordRef<K, V> {
+    fn header(&self) -> RecordHeader {
+        RecordRef::header(self)
+    }
+    fn key(&self) -> K {
+        RecordRef::key(self)
+    }
+    fn value(&self) -> V {
+        self.read_value()
+    }
+    fn merge_second(&self) -> Address {
+        // Safety: layout contract of from_raw.
+        unsafe { MergeRecord::second_address(self.base) }
+    }
+}
+
+/// A record image held in a byte buffer (`&[u8]` from a log scan, or the
+/// `Vec<u8>` a storage read returned), validated as a live record.
+pub struct RecordBytes<B, K, V> {
+    bytes: B,
+    _marker: std::marker::PhantomData<(K, V)>,
+}
+
+impl<B: AsRef<[u8]>, K: Pod, V: Pod> RecordBytes<B, K, V> {
+    /// `None` for a short image or page padding (an all-zero header).
+    pub fn parse(bytes: B) -> Option<Self> {
+        let img = Self { bytes, _marker: std::marker::PhantomData };
+        (img.bytes.as_ref().len() >= RecordRef::<K, V>::size() && img.header().is_live()).then_some(img)
+    }
+
+    fn word(&self, at: usize) -> u64 {
+        u64::from_le_bytes(self.bytes.as_ref()[at..at + 8].try_into().expect("8 bytes"))
+    }
+
+    fn field<T: Pod>(&self, at: usize) -> T {
+        faster_util::pod_from_bytes::<T>(&self.bytes.as_ref()[at..at + std::mem::size_of::<T>()])
+    }
+}
+
+impl<B: AsRef<[u8]>, K: Pod, V: Pod> RecordView<K, V> for RecordBytes<B, K, V> {
+    fn header(&self) -> RecordHeader {
+        RecordHeader(self.word(0))
+    }
+    fn key(&self) -> K {
+        self.field(RecordRef::<K, V>::KEY_OFFSET)
+    }
+    fn value(&self) -> V {
+        self.field(RecordRef::<K, V>::value_offset())
+    }
+    fn merge_second(&self) -> Address {
+        Address::new(self.word(RecordRef::<K, V>::KEY_OFFSET) & ADDR_MASK)
     }
 }
 
@@ -346,5 +399,8 @@ mod tests {
             assert_eq!(r.header().prev(), Address::new(100));
             assert_eq!(MergeRecord::second_address(buf.as_mut_ptr()), Address::new(200));
         }
+        let img = RecordBytes::<_, u64, u64>::parse(&buf[..]).expect("live merge record");
+        assert!(img.header().is_merge());
+        assert_eq!(img.merge_second(), Address::new(200));
     }
 }

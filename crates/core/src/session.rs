@@ -20,15 +20,15 @@
 //! reads, then call `complete_pending` to overlap all of their I/O.
 
 use crate::functions::Functions;
-use crate::record::{
-    MergeRecord, RecordHeader, RecordRef, DELTA_BIT, INVALID_BIT, TOMBSTONE_BIT,
-};
-use crate::read_cache::{is_rc, rc_tag, rc_untag};
 use crate::health::{HealthReason, StoreError};
+use crate::read_cache::{is_rc, rc_tag, rc_untag};
+use crate::record::{
+    RecordBytes, RecordHeader, RecordRef, RecordView, DELTA_BIT, INVALID_BIT, TOMBSTONE_BIT,
+};
 use crate::{hash_key, FasterKv};
 use faster_epoch::EpochGuard;
 use faster_hlog::{ReadSpan, Region};
-use faster_index::{CreateOutcome, EntrySlot, HashBucketEntry};
+use faster_index::{CreateOutcome, CreatedEntry, EntrySlot, HashBucketEntry};
 use faster_metrics::{SessionHub, SessionRecorder, Timer};
 use faster_storage::{CompletionRing, Cqe, Sqe};
 use faster_util::{Address, KeyHash, Pod};
@@ -128,38 +128,6 @@ pub struct Completion<O> {
     pub result: OpResult<O>,
 }
 
-// ------------------------------------------------------------------ legacy
-// One-PR compatibility shims for the pre-unification result types. Nothing
-// in the workspace uses them; external callers get a deprecation nudge
-// toward the `OpResult` surface and the shims disappear next release.
-
-/// Result of a read (legacy surface).
-#[deprecated(since = "0.2.0", note = "use the unified `OpResult` returned by `Session::read`")]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadResult<O> {
-    Found(O),
-    NotFound,
-    Pending(u64),
-}
-
-/// Result of an RMW (legacy surface).
-#[deprecated(since = "0.2.0", note = "use the unified `OpResult` returned by `Session::rmw`")]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RmwResult {
-    Done,
-    Pending(u64),
-}
-
-/// A completed formerly-pending operation (legacy surface).
-#[deprecated(since = "0.2.0", note = "use `Completion` from `Session::complete_pending`")]
-#[derive(Debug)]
-#[allow(deprecated)]
-pub enum CompletedOp<O> {
-    Read { id: u64, result: Option<O> },
-    Rmw { id: u64 },
-    Failed { id: u64, error: faster_storage::IoError },
-}
-
 /// Bounded retry budget for transiently failed I/O (device errors, not
 /// GC truncation). Retries pace themselves with [`faster_util::Backoff`];
 /// past the budget the op completes as `Err(OpError::Io)`.
@@ -176,35 +144,140 @@ pub enum BatchOp<K, V, I> {
 
 impl<K, V, I> BatchOp<K, V, I> {
     #[inline]
-    fn key(&self) -> &K {
+    fn op(&self) -> Op<'_, K, V, I> {
         match self {
-            BatchOp::Read { key, .. }
-            | BatchOp::Upsert { key, .. }
-            | BatchOp::Rmw { key, .. }
-            | BatchOp::Delete { key } => key,
+            BatchOp::Read { key, input } => Op::Read { key, input, head: None },
+            BatchOp::Upsert { key, value } => Op::Upsert { key, value },
+            BatchOp::Rmw { key, input } => Op::Rmw { key, input },
+            BatchOp::Delete { key } => Op::Delete { key },
         }
     }
 }
 
-/// Per-op result of [`Session::execute_batch`] (legacy surface).
-#[deprecated(
-    since = "0.2.0",
-    note = "`Session::execute_batch` now returns positional `OpResult`s directly"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(deprecated)]
-pub enum BatchOutcome<O> {
-    Read(ReadResult<O>),
-    Upsert,
-    Rmw(RmwResult),
-    Delete,
+/// One operation, borrowed from whichever entry point issued it (a scalar
+/// method, `read_batch` or `execute_batch`) — see [`Session::dispatch`].
+enum Op<'a, K, V, I> {
+    /// `head`: a chain head the batch pipeline already probed (`None`:
+    /// probe the index).
+    Read { key: &'a K, input: &'a I, head: Option<Address> },
+    Upsert { key: &'a K, value: &'a V },
+    Rmw { key: &'a K, input: &'a I },
+    Delete { key: &'a K },
 }
 
+impl<K, V, I> Op<'_, K, V, I> {
+    #[inline]
+    fn key(&self) -> &K {
+        match self {
+            Op::Read { key, .. } | Op::Upsert { key, .. } | Op::Rmw { key, .. } | Op::Delete { key } => key,
+        }
+    }
+}
+
+/// How a new tail record reaches the index ([`Session::publish`]).
+pub(crate) enum Link<'a> {
+    /// CAS the entry, which must still hold this snapshot.
+    Swap(EntrySlot<'a>, HashBucketEntry),
+    /// Finalize a freshly claimed tentative entry (no chain to link to).
+    Fresh(CreatedEntry<'a>),
+}
+
+impl<'a> From<CreateOutcome<'a>> for Link<'a> {
+    fn from(outcome: CreateOutcome<'a>) -> Self {
+        match outcome {
+            CreateOutcome::Found(slot) => {
+                let entry = slot.load();
+                Link::Swap(slot, entry)
+            }
+            CreateOutcome::Created(created) => Link::Fresh(created),
+        }
+    }
+}
+
+/// What a chain walk carries from record to record: Algorithm 2's loop,
+/// extended with CRDT deltas (§6.3) and merge records (Appendix B).
+pub(crate) struct ChainWalk<V> {
+    /// Deltas folded so far, newest first.
+    pub(crate) acc: Option<V>,
+    /// Merge-record second prongs still to search.
+    fallbacks: Vec<Address>,
+}
+
+/// One record's verdict in a chain walk ([`ChainWalk::step`]).
+pub(crate) enum Step {
+    /// Keep walking here: a merge record (its second prong is queued), an
+    /// invalid or other-key record, or a delta (now folded).
+    Next(Address),
+    /// A tombstone for the key ends the walk.
+    Deleted,
+    /// The key's base record: the caller reads its value.
+    Base,
+}
+
+impl<V: Pod> ChainWalk<V> {
+    pub(crate) fn new() -> Self {
+        Self { acc: None, fallbacks: Vec::new() }
+    }
+
+    /// Classifies one record of `key`'s chain.
+    pub(crate) fn step<K: Pod + Eq, F: Functions<K, V>>(
+        &mut self,
+        f: &F,
+        key: &K,
+        rec: &impl RecordView<K, V>,
+    ) -> Step {
+        let h = rec.header();
+        if h.is_merge() {
+            self.fallbacks.push(rec.merge_second());
+        } else if !h.is_invalid() && rec.key() == *key {
+            if h.is_tombstone() {
+                return Step::Deleted;
+            }
+            if !h.is_delta() {
+                return Step::Base;
+            }
+            let part = rec.value();
+            self.acc = Some(match &self.acc {
+                Some(a) => f.merge(a, &part),
+                None => part,
+            });
+        }
+        Step::Next(h.prev())
+    }
+
+    /// Where the walk goes from `next`: `next` itself if it is valid and at
+    /// or above `floor`; otherwise this prong has ended (chain end, or a
+    /// GC'd prefix — Appendix C) and the walk takes the next merge prong.
+    /// `None` once every prong is exhausted.
+    pub(crate) fn resume(&mut self, mut next: Address, floor: Address) -> Option<Address> {
+        while !next.is_valid() || next < floor {
+            next = self.fallbacks.pop()?;
+        }
+        Some(next)
+    }
+
+    /// Folds the deltas walked so far onto a base value, and resets them.
+    pub(crate) fn fold_base<K: Pod, F: Functions<K, V>>(&mut self, f: &F, base: V) -> V {
+        match self.acc.take() {
+            Some(a) => f.merge(&base, &a),
+            None => base,
+        }
+    }
+
+    /// The walk's value: the base (if any) with the deltas folded in;
+    /// deltas with no base fold onto the identity (§6.3). `None`: absent.
+    pub(crate) fn finish<K: Pod, F: Functions<K, V>>(mut self, f: &F, base: Option<V>) -> Option<V> {
+        match base {
+            Some(b) => Some(self.fold_base(f, b)),
+            None => self.acc.map(|a| f.merge(&f.identity(), &a)),
+        }
+    }
+}
+
+#[derive(Clone, Copy)]
 enum PendingKind {
     Read,
     Rmw,
-    /// Fuzzy RMW awaiting retry at the next `complete_pending` (§6.3).
-    RmwFuzzyRetry,
 }
 
 struct PendingOp<K, V, I> {
@@ -217,10 +290,8 @@ struct PendingOp<K, V, I> {
     read_addr: Address,
     /// Entry address snapshot for the RMW CAS-consistency check.
     entry_addr: Address,
-    /// Accumulated CRDT partial (read reconciliation across deltas).
-    acc: Option<V>,
-    /// Alternate chains still to search (merge meta-records).
-    fallbacks: Vec<Address>,
+    /// The chain walk the continuation resumes.
+    walk: ChainWalk<V>,
     /// Transient-I/O-failure retries consumed so far (see [`MAX_IO_RETRIES`]).
     attempts: u32,
 }
@@ -283,6 +354,8 @@ pub struct Session<K: Pod, V: Pod, F: Functions<K, V>> {
     /// Reused CQE reap buffer so completion processing allocates nothing
     /// per call once warm (capacity bounded by [`IO_SCRATCH_MAX`]).
     io_scratch: RefCell<Vec<Cqe>>,
+    /// Fuzzy-region RMWs awaiting retry at the next `complete_pending`
+    /// (§6.3).
     retries: RefCell<VecDeque<PendingOp<K, V, F::Input>>>,
     /// This session's slot in the store-wide metrics registry (single
     /// writer: this thread). Retired into the hub's accumulator on drop.
@@ -304,10 +377,6 @@ pub struct Session<K: Pod, V: Pod, F: Functions<K, V>> {
     wal_notices: RefCell<std::collections::HashSet<u64>>,
     /// Resolved WAL notices awaiting pickup by [`Session::take_wal_notice`].
     wal_notice_results: RefCell<HashMap<u64, Result<(), faster_storage::IoError>>>,
-    /// Completions drained while a caller was parked in
-    /// [`Session::wait_wal_durable_ring`]; handed back by the next
-    /// `complete_pending`.
-    done_backlog: RefCell<Vec<Completion<F::Output>>>,
 }
 
 impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
@@ -333,7 +402,6 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
             wal_error: RefCell::new(None),
             wal_notices: RefCell::new(std::collections::HashSet::new()),
             wal_notice_results: RefCell::new(HashMap::new()),
-            done_backlog: RefCell::new(Vec::new()),
         }
     }
 
@@ -361,13 +429,6 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                 rcm.misses.inc();
             }
         }
-    }
-
-    /// Starts a per-op latency timer (a no-op unless the crate is built
-    /// with `metrics-timing` and latency is enabled in `MetricsConfig`).
-    #[inline]
-    fn op_timer(&self) -> Timer {
-        Timer::start(self.hub.latency_enabled)
     }
 
     /// Counts one successful mutation: `writes` plus exactly one of the
@@ -442,26 +503,127 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         self.outstanding.set(n.saturating_sub(1));
     }
 
-    /// Parks `op` in the continuation table and queues the ring-routed SQE
-    /// for its `read_addr`. A GC-truncated address short-circuits: the
-    /// Truncated CQE is already in the ring under this id and no SQE is
-    /// queued.
-    fn park_and_enqueue(&self, op: PendingOp<K, V, F::Input>) {
+    /// A fresh pending-op context for `key` (reusing `id` when a pending op
+    /// restarts), with no read issued yet.
+    fn pending_op(
+        &self,
+        kind: PendingKind,
+        key: &K,
+        hash: KeyHash,
+        input: &F::Input,
+        id: Option<u64>,
+    ) -> PendingOp<K, V, F::Input> {
+        PendingOp {
+            id: id.unwrap_or_else(|| self.fresh_id()),
+            key: *key,
+            hash,
+            input: input.clone(),
+            kind,
+            read_addr: Address::INVALID,
+            entry_addr: Address::INVALID,
+            walk: ChainWalk::new(),
+            attempts: 0,
+        }
+    }
+
+    /// Issues the record read for `op.read_addr` (first hop, next chain
+    /// hop, or a bounded transient-failure retry) and returns the op's id:
+    /// the op parks in the continuation table and its ring-routed SQE goes
+    /// out with the next `complete_pending` batch. A GC-truncated address
+    /// short-circuits: the Truncated CQE is already in the ring under this
+    /// id and no SQE is queued.
+    fn issue_io(&self, op: PendingOp<K, V, F::Input>) -> u64 {
         let id = op.id;
-        let addr = op.read_addr;
-        let made =
-            self.store.inner.log.make_read_sqe(id, addr, RecordRef::<K, V>::size(), &self.ring);
-        let (sqe, span) = match made {
-            Some((sqe, span)) => (Some(sqe), Some(span)),
-            None => (None, None),
-        };
-        let prev = self
-            .pending
-            .borrow_mut()
-            .insert(id, Parked { op, issued: Instant::now(), span });
-        debug_assert!(prev.is_none(), "duplicate pending id {id}");
-        if let Some(sqe) = sqe {
+        self.rec.io_issued.inc();
+        self.outstanding.set(self.outstanding.get() + 1);
+        let made = self
+            .store
+            .inner
+            .log
+            .make_read_sqe(id, op.read_addr, RecordRef::<K, V>::size(), &self.ring);
+        let span = made.map(|(sqe, span)| {
             self.sq.borrow_mut().push(sqe);
+            span
+        });
+        let prev = self.pending.borrow_mut().insert(id, Parked { op, issued: Instant::now(), span });
+        debug_assert!(prev.is_none(), "duplicate pending id {id}");
+        id
+    }
+
+    /// The key's chain head from the index (`INVALID` when it has none).
+    #[inline]
+    fn chain_head(&self, hash: KeyHash) -> Address {
+        match self.store.inner.index.find_tag(hash, Some(&self.guard)) {
+            Some(slot) => slot.load().address(),
+            None => Address::INVALID,
+        }
+    }
+
+    // ============================================================ DISPATCH
+
+    /// Runs one operation: the single dispatch point behind the scalar
+    /// methods, [`Session::read_batch`] and [`Session::execute_batch`].
+    /// Counts the op, applies the read-only gate to mutations and
+    /// classifies reads; latency timing and epoch bookkeeping stay with the
+    /// caller (per op for scalar calls, once per batch otherwise).
+    #[inline(always)]
+    fn dispatch(&self, op: Op<'_, K, V, F::Input>, hash: KeyHash) -> OpResult<F::Output> {
+        match op {
+            Op::Read { key, input, head } => {
+                self.rec.reads.inc();
+                self.read_rc_hit.set(false);
+                let head = head.unwrap_or_else(|| self.chain_head(hash));
+                let r = self.read_internal(key, hash, input, head, ChainWalk::new(), None);
+                self.classify_read(&r);
+                r
+            }
+            Op::Upsert { key, value } => {
+                self.writable()?;
+                self.rec.upserts.inc();
+                self.upsert_internal(key, hash, value);
+                Ok(Outcome::Done)
+            }
+            Op::Rmw { key, input } => {
+                self.writable()?;
+                self.rec.rmws.inc();
+                self.rmw_internal(key, hash, input, None)
+            }
+            Op::Delete { key } => {
+                self.writable()?;
+                self.rec.deletes.inc();
+                self.delete_internal(key, hash);
+                Ok(Outcome::Done)
+            }
+        }
+    }
+
+    /// A scalar call: one dispatched op, timed into `latency` (a no-op
+    /// unless built with `metrics-timing` and enabled in `MetricsConfig`),
+    /// then the per-op epoch refresh cadence. A refused mutation was
+    /// neither applied nor counted, so it is not timed either.
+    #[inline(always)]
+    fn scalar(
+        &self,
+        op: Op<'_, K, V, F::Input>,
+        latency: &faster_metrics::LatencyHistogram,
+    ) -> OpResult<F::Output> {
+        let t = Timer::start(self.hub.latency_enabled);
+        let hash = hash_key(op.key());
+        let r = self.dispatch(op, hash);
+        if !matches!(r, Err(OpError::ReadOnly(_))) {
+            t.observe(latency);
+            self.maybe_refresh();
+        }
+        r
+    }
+
+    /// The read-only gate every mutation passes (DESIGN.md §12): a store
+    /// degraded to read-only refuses new mutations with a typed reason.
+    #[inline]
+    fn writable(&self) -> Result<(), OpError> {
+        match self.store.inner.health.read_only_error() {
+            Some(StoreError::ReadOnly(r)) => Err(OpError::ReadOnly(r)),
+            None => Ok(()),
         }
     }
 
@@ -474,182 +636,81 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     /// on a miss, or `Err(OpError::Pending(id))` when the read went to disk
     /// (resolved by [`Session::complete_pending`]).
     pub fn read(&self, key: &K, input: &F::Input) -> OpResult<F::Output> {
-        let t = self.op_timer();
-        self.rec.reads.inc();
-        self.read_rc_hit.set(false);
-        let hash = hash_key(key);
-        let r = self.read_internal(key, hash, input, Address::INVALID, None, Vec::new(), None);
-        self.classify_read(&r);
-        t.observe(&self.hub.read_latency);
-        self.maybe_refresh();
-        r
+        self.scalar(Op::Read { key, input, head: None }, &self.hub.read_latency)
     }
 
-    /// Shared read walk. `start_at` overrides the index entry (continuation
-    /// resuming mid-chain); `acc` carries CRDT partials; `fallbacks` carries
-    /// merge-record second chains; `id` reuses a pending id.
-    #[allow(clippy::too_many_arguments)]
+    /// The read walk from `addr` (a chain head, or where a continuation
+    /// resumes mid-chain); `id` reuses a pending op's id.
     fn read_internal(
         &self,
         key: &K,
         hash: KeyHash,
         input: &F::Input,
-        start_at: Address,
-        mut acc: Option<V>,
-        mut fallbacks: Vec<Address>,
+        mut addr: Address,
+        mut walk: ChainWalk<V>,
         id: Option<u64>,
     ) -> OpResult<F::Output> {
         let inner = &self.store.inner;
         let f = &inner.functions;
-        let mut addr = if start_at.is_valid() {
-            start_at
-        } else {
-            match inner.index.find_tag(hash, Some(&self.guard)) {
-                Some(slot) => slot.load().address(),
-                None => return self.finish_read(key, input, acc),
-            }
-        };
         loop {
-            if is_rc(addr) {
+            let (rec, cached) = if is_rc(addr) {
                 // Appendix D: the entry points into the read-cache log.
-                let Some(rc_log) = inner.rc.as_ref() else {
-                    return self.finish_read(key, input, acc);
+                let Some(rc_log) = inner.rc.as_ref() else { break };
+                let Some(p) = rc_log.get(rc_untag(addr)) else {
+                    // Evicted under us; the eviction hook is restoring the
+                    // entry. Refresh (drives the trigger) + restart.
+                    self.refresh();
+                    addr = self.chain_head(hash);
+                    continue;
                 };
-                match rc_log.get(rc_untag(addr)) {
-                    Some(p) => {
-                        let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-                        let h = rec.header();
-                        if rec.key() == *key && !h.is_tombstone() && !h.is_delta() {
-                            let v = rec.read_value();
-                            let out = match &acc {
-                                Some(a) => {
-                                    let f = &inner.functions;
-                                    let merged = f.merge(&v, a);
-                                    f.single_reader(key, input, &merged)
-                                }
-                                None => inner.functions.single_reader(key, input, &v),
-                            };
-                            // Second chance (§6.4 applied to the cache): a
-                            // hit outside the cache's mutable region copies
-                            // the record to the cache tail.
-                            if acc.is_none() {
-                                self.rc_second_chance(key, hash, &rec, addr);
-                            }
-                            self.read_rc_hit.set(true);
-                            return Ok(Outcome::Value(out));
-                        }
-                        // Cached record is for a different key (or deleted):
-                        // continue into the primary chain it points at.
-                        addr = h.prev();
-                        continue;
-                    }
-                    None => {
-                        // Evicted under us; the eviction hook is restoring
-                        // the entry. Refresh (drives the trigger) + restart.
-                        self.refresh();
-                        addr = match inner.index.find_tag(hash, Some(&self.guard)) {
-                            Some(slot) => slot.load().address(),
-                            None => return self.finish_read(key, input, acc),
-                        };
-                        continue;
-                    }
-                }
-            }
-            if !addr.is_valid() || addr < inner.log.begin_address() {
-                // Chain end (or GC'd prefix, Appendix C): try alternates.
-                match fallbacks.pop() {
-                    Some(a) => {
-                        addr = a;
-                        continue;
-                    }
-                    None => return self.finish_read(key, input, acc),
-                }
-            }
-            let Some(p) = inner.log.get(addr) else {
-                // Below head: go asynchronous (Alg 2 line 6).
-                return Err(OpError::Pending(self.issue_read_io(
-                    key, hash, input, addr, acc, fallbacks, id,
-                )));
-            };
-            // Safety: epoch-protected resident record.
-            let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-            let h = rec.header();
-            if h.is_merge() {
-                fallbacks.push(unsafe { MergeRecord::second_address(p) });
-                addr = h.prev();
-                continue;
-            }
-            if h.is_invalid() || rec.key() != *key {
-                addr = h.prev();
-                continue;
-            }
-            if h.is_tombstone() {
-                return self.finish_read(key, input, acc);
-            }
-            if h.is_delta() {
-                // CRDT partial: fold and keep walking toward the base.
-                let part = rec.read_value();
-                acc = Some(match &acc {
-                    Some(a) => f.merge(a, &part),
-                    None => part,
-                });
-                addr = h.prev();
-                continue;
-            }
-            // Base record: produce the output (Alg 2 lines 12-15).
-            let out = if let Some(a) = &acc {
-                let merged = f.merge(&rec.read_value(), a);
-                f.single_reader(key, input, &merged)
-            } else if addr < inner.log.safe_ipu_boundary() {
-                f.single_reader(key, input, &rec.read_value())
+                // Safety: epoch-protected resident cache record.
+                (unsafe { RecordRef::<K, V>::from_raw(p) }, true)
             } else {
-                f.concurrent_reader(key, input, rec.value_cell())
+                let Some(next) = walk.resume(addr, inner.log.begin_address()) else { break };
+                addr = next;
+                let Some(p) = inner.log.get(addr) else {
+                    // Below head: go asynchronous (Alg 2 line 6).
+                    let op = PendingOp {
+                        read_addr: addr,
+                        walk,
+                        ..self.pending_op(PendingKind::Read, key, hash, input, id)
+                    };
+                    return Err(OpError::Pending(self.issue_io(op)));
+                };
+                // Safety: epoch-protected resident record.
+                (unsafe { RecordRef::<K, V>::from_raw(p) }, false)
             };
-            // (When resuming a pending op, continue_io wraps this result
-            // into a Completion for the caller.)
-            return Ok(Outcome::Value(out));
+            match walk.step(f, key, &rec) {
+                Step::Next(prev) => addr = prev,
+                Step::Deleted => break,
+                Step::Base if cached => {
+                    // Second chance (§6.4 applied to the cache): a hit
+                    // outside the cache's mutable region copies the record
+                    // to the cache tail.
+                    if walk.acc.is_none() {
+                        self.rc_second_chance(key, hash, &rec, addr);
+                    }
+                    self.read_rc_hit.set(true);
+                    return self.output(key, input, walk.finish(f, Some(rec.read_value())));
+                }
+                Step::Base => {
+                    // Base record: produce the output (Alg 2 lines 12-15).
+                    if walk.acc.is_none() && addr >= inner.log.safe_ipu_boundary() {
+                        return Ok(Outcome::Value(f.concurrent_reader(key, input, rec.value_cell())));
+                    }
+                    return self.output(key, input, walk.finish(f, Some(rec.read_value())));
+                }
+            }
         }
+        self.output(key, input, walk.finish(f, None))
     }
 
-    /// Chain exhausted: deltas with no base fold onto the identity (§6.3).
-    fn finish_read(&self, key: &K, input: &F::Input, acc: Option<V>) -> OpResult<F::Output> {
-        match acc {
-            Some(a) => {
-                let f = &self.store.inner.functions;
-                let merged = f.merge(&f.identity(), &a);
-                Ok(Outcome::Value(f.single_reader(key, input, &merged)))
-            }
+    /// A read's result from the value its walk reconciled (`None`: absent).
+    fn output(&self, key: &K, input: &F::Input, value: Option<V>) -> OpResult<F::Output> {
+        match value {
+            Some(v) => Ok(Outcome::Value(self.store.inner.functions.single_reader(key, input, &v))),
             None => Err(OpError::NotFound),
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn issue_read_io(
-        &self,
-        key: &K,
-        hash: KeyHash,
-        input: &F::Input,
-        addr: Address,
-        acc: Option<V>,
-        fallbacks: Vec<Address>,
-        id: Option<u64>,
-    ) -> u64 {
-        let id = id.unwrap_or_else(|| self.fresh_id());
-        self.rec.io_issued.inc();
-        self.outstanding.set(self.outstanding.get() + 1);
-        self.park_and_enqueue(PendingOp {
-            id,
-            key: *key,
-            hash,
-            input: input.clone(),
-            kind: PendingKind::Read,
-            read_addr: addr,
-            entry_addr: Address::INVALID,
-            acc,
-            fallbacks,
-            attempts: 0,
-        });
-        id
     }
 
     // ================================================================= WAL
@@ -665,72 +726,40 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         let payload = crate::walrec::encode::<K, V>(kind, key, value);
         match wal.append(&payload) {
             Ok(lsn) => self.wal_lsn.set(lsn),
-            Err(e) => {
-                // A refused append means per-op durability is gone for good
-                // (WAL failures are sticky): degrade the store to read-only.
-                self.store.inner.health.to_read_only(HealthReason::WalFailed);
-                let mut err = self.wal_error.borrow_mut();
-                if err.is_none() {
-                    *err = Some(e);
-                }
-            }
+            Err(e) => self.wal_failed(e),
         }
     }
 
-    /// Highest WAL LSN this session has appended (0 = none, or no WAL).
-    pub fn wal_last_lsn(&self) -> u64 {
-        self.wal_lsn.get()
+    /// A WAL failure is sticky (no group will ever ack again): per-op
+    /// durability is gone for good, so the store degrades to read-only and
+    /// the session latches the error for every later durability wait.
+    fn wal_failed(&self, e: faster_storage::IoError) {
+        self.store.inner.health.to_read_only(HealthReason::WalFailed);
+        self.wal_error.borrow_mut().get_or_insert(e);
     }
 
     /// Blocks until every mutation this session has issued is group-commit
-    /// durable in the WAL. `Err` means some mutation was **never acked** —
-    /// either its append was refused or its group's flush barrier failed;
-    /// the error is sticky (the WAL refuses all further commits).
-    /// Immediately `Ok` on stores without a WAL.
+    /// durable in the WAL — the blocking wrapper over the notice primitive
+    /// ([`Session::notify_wal_durable`]). `Err` means some mutation was
+    /// **never acked** — either its append was refused or its group's flush
+    /// barrier failed; the error is sticky (the WAL refuses all further
+    /// commits). Immediately `Ok` on stores without a WAL.
     pub fn wait_wal_durable(&self) -> Result<(), faster_storage::IoError> {
         if let Some(e) = self.wal_error.borrow().as_ref() {
             return Err(e.clone());
         }
-        match self.store.inner.wal.get() {
-            Some(wal) => {
-                let r = wal.wait_durable(self.wal_lsn.get());
-                if r.is_err() {
-                    self.store.inner.health.to_read_only(HealthReason::WalFailed);
-                }
-                r
-            }
-            None => Ok(()),
-        }
-    }
-
-    /// Non-blocking durability check: `Some(Ok(()))` once everything this
-    /// session appended is durable, `Some(Err(_))` once the WAL has failed,
-    /// `None` while a group commit is still in flight.
-    pub fn poll_wal_durable(&self) -> Option<Result<(), faster_storage::IoError>> {
-        if let Some(e) = self.wal_error.borrow().as_ref() {
-            return Some(Err(e.clone()));
-        }
-        match self.store.inner.wal.get() {
-            Some(wal) => {
-                let r = wal.poll_durable(self.wal_lsn.get());
-                if matches!(&r, Some(Err(_))) {
-                    self.store.inner.health.to_read_only(HealthReason::WalFailed);
-                }
-                r
-            }
-            None => Some(Ok(())),
-        }
+        let Some(wal) = self.store.inner.wal.get() else { return Ok(()) };
+        wal.wait_durable(self.wal_lsn.get()).inspect_err(|e| self.wal_failed(e.clone()))
     }
 
     /// Registers a ring-routed durability notice for everything this session
     /// has appended (DESIGN.md §10 follow-on): when the WAL group covering
-    /// [`Session::wal_last_lsn`] commits (or the log fails), a CQE bearing
+    /// this session's last append commits (or the log fails), a CQE bearing
     /// the returned id lands in this session's completion ring — the same
     /// ring `complete_pending` reaps — so a pipelined caller can park once
     /// for disk reads *and* durability acks. Returns `None` when there is
     /// nothing to wait for (no WAL, or no append yet). Resolve the notice
-    /// with [`Session::take_wal_notice`] after a `complete_pending` pass, or
-    /// park directly with [`Session::wait_wal_durable_ring`].
+    /// with [`Session::take_wal_notice`] after a `complete_pending` pass.
     pub fn notify_wal_durable(&self) -> Option<u64> {
         let wal = self.store.inner.wal.get()?;
         if self.wal_lsn.get() == 0 {
@@ -743,39 +772,10 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     }
 
     /// Takes the resolved result of a durability notice registered with
-    /// [`Session::notify_wal_durable`], if its CQE has been reaped (by
-    /// `complete_pending` or `wait_wal_durable_ring`). `None` = still in
-    /// flight.
+    /// [`Session::notify_wal_durable`], if a `complete_pending` pass has
+    /// reaped its CQE. `None` = still in flight.
     pub fn take_wal_notice(&self, id: u64) -> Option<Result<(), faster_storage::IoError>> {
         self.wal_notice_results.borrow_mut().remove(&id)
-    }
-
-    /// Like [`Session::wait_wal_durable`], but parks on the session's
-    /// completion ring instead of the WAL condvar, driving any outstanding
-    /// I/O continuations while it waits (their completions are handed to the
-    /// next [`Session::complete_pending`] call). This is the ack path for a
-    /// pipelined front-end: no thread burns a condvar slot per connection.
-    pub fn wait_wal_durable_ring(&self) -> Result<(), faster_storage::IoError> {
-        if let Some(e) = self.wal_error.borrow().as_ref() {
-            return Err(e.clone());
-        }
-        let Some(id) = self.notify_wal_durable() else { return Ok(()) };
-        loop {
-            self.submit_queued();
-            let mut done = Vec::new();
-            self.reap_and_run(&mut done);
-            if !done.is_empty() {
-                self.done_backlog.borrow_mut().append(&mut done);
-            }
-            if let Some(r) = self.take_wal_notice(id) {
-                if r.is_err() {
-                    self.store.inner.health.to_read_only(HealthReason::WalFailed);
-                }
-                return r;
-            }
-            self.refresh();
-            self.ring.wait_nonempty(RING_WAIT);
-        }
     }
 
     /// Installs `waker` as the ring's push hook: every CQE pushed into this
@@ -791,17 +791,87 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         self.ring.clear_waker();
     }
 
-    // ============================================================== UPSERT
+    // ============================================================= PUBLISH
 
-    /// The read-only gate every mutation passes (DESIGN.md §12): a store
-    /// degraded to read-only refuses new mutations with a typed reason.
-    #[inline]
-    fn writable(&self) -> Result<(), OpError> {
-        match self.store.inner.health.read_only_error() {
-            Some(StoreError::ReadOnly(r)) => Err(OpError::ReadOnly(r)),
-            None => Ok(()),
+    /// The one record-publish step of every append-then-CAS site (Alg 3/4
+    /// CREATE_RECORD, deletes, WAL replay, compaction): appends a record for
+    /// `key` at the tail, linked to the key's *primary-log* predecessor,
+    /// lets `fill` write its value, and publishes it through `link`. On a
+    /// lost CAS the record is invalidated, its bytes count as dead, and the
+    /// result is `None`: the caller re-probes and retries. So it is when the
+    /// chain head is a cache record the cache has just evicted (nothing is
+    /// appended then): its primary predecessor is out of reach until the
+    /// eviction hook restores the entry, and the hook waits for this
+    /// session's epoch refresh, which this step performs.
+    pub(crate) fn publish(
+        &self,
+        link: Link<'_>,
+        key: &K,
+        bits: u64,
+        fill: impl FnOnce(&mut V),
+    ) -> Option<RecordRef<K, V>> {
+        let log = &self.store.inner.log;
+        let prev = match &link {
+            Link::Swap(_, entry) => self.chain_prev_for_new_record(entry.address()),
+            Link::Fresh(_) => Some(Address::INVALID),
+        };
+        let Some(prev) = prev else {
+            self.refresh();
+            return None;
+        };
+        let addr = log.allocate(RecordRef::<K, V>::size() as u32, &self.guard);
+        let p = log.get(addr).expect("fresh tail allocation is resident");
+        // Safety: exclusive until published via the index.
+        let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
+        rec.init_header(RecordHeader::new(prev).with(bits));
+        rec.init_key(key);
+        fill(unsafe { rec.value_mut() });
+        match link {
+            Link::Swap(slot, entry) => {
+                if slot.cas_address(entry, addr).is_err() {
+                    rec.set_bits(INVALID_BIT);
+                    self.note_dead(1);
+                    return None;
+                }
+            }
+            Link::Fresh(created) => {
+                created.finalize(addr);
+            }
         }
+        Some(rec)
     }
+
+    /// The `prev` pointer a new tail record should carry when the current
+    /// chain head is `head`: tagged read-cache heads are spliced out
+    /// (replaced by the primary address the cache record points at), since
+    /// cache addresses are volatile and must never persist in record
+    /// headers (Appendix D). `None` when `head` is a cache record already
+    /// below the cache's head (evicted; the hook is restoring the entry).
+    pub(crate) fn chain_prev_for_new_record(&self, head: Address) -> Option<Address> {
+        if !is_rc(head) {
+            return Some(head);
+        }
+        let p = self.store.inner.rc.as_ref()?.get(rc_untag(head))?;
+        // Safety: epoch-protected resident cache record.
+        Some(unsafe { RecordRef::<K, V>::from_raw(p) }.header().prev())
+    }
+
+    /// Publishes a full value for `key` (an RCU copy when `rcu`, else a
+    /// fresh or re-created record), counts it and logs its post-image.
+    /// Returns false if the CAS lost (caller retries).
+    fn put(&self, link: Link<'_>, key: &K, rcu: bool, fill: impl FnOnce(&mut V)) -> bool {
+        let Some(rec) = self.publish(link, key, 0, fill) else { return false };
+        if rcu {
+            self.count_write(&self.rec.rcu);
+            self.note_dead(1);
+        } else {
+            self.count_write(&self.rec.appends);
+        }
+        self.wal_log(crate::walrec::KIND_PUT, key, Some(&rec.read_value()));
+        true
+    }
+
+    // ============================================================== UPSERT
 
     /// Blind update (Algorithm 3): in-place if the record is in the mutable
     /// region, otherwise a new record at the tail. Never goes pending
@@ -810,126 +880,49 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     /// a mutation the store can no longer make durable should not be
     /// silently accepted.
     pub fn upsert(&self, key: &K, value: &V) -> OpResult<F::Output> {
-        self.writable()?;
-        let t = self.op_timer();
-        self.rec.upserts.inc();
-        let hash = hash_key(key);
-        self.upsert_internal(key, hash, value);
-        t.observe(&self.hub.upsert_latency);
-        self.maybe_refresh();
-        Ok(Outcome::Done)
+        self.scalar(Op::Upsert { key, value }, &self.hub.upsert_latency)
     }
 
-    /// Fallible upsert (legacy name; `upsert` itself is now fallible).
-    #[deprecated(since = "0.2.0", note = "`Session::upsert` is now fallible; call it directly")]
-    pub fn try_upsert(&self, key: &K, value: &V) -> Result<(), StoreError> {
-        match self.upsert(key, value) {
-            Ok(_) => Ok(()),
-            Err(OpError::ReadOnly(r)) => Err(StoreError::ReadOnly(r)),
-            Err(_) => unreachable!("upsert only fails ReadOnly"),
-        }
-    }
-
-    /// Fallible RMW (legacy name; `rmw` itself is now fallible).
-    #[deprecated(since = "0.2.0", note = "`Session::rmw` is now fallible; call it directly")]
-    #[allow(deprecated)]
-    pub fn try_rmw(&self, key: &K, input: &F::Input) -> Result<RmwResult, StoreError> {
-        match self.rmw(key, input) {
-            Ok(_) => Ok(RmwResult::Done),
-            Err(OpError::Pending(id)) => Ok(RmwResult::Pending(id)),
-            Err(OpError::ReadOnly(r)) => Err(StoreError::ReadOnly(r)),
-            Err(_) => unreachable!("rmw only fails Pending or ReadOnly"),
-        }
-    }
-
-    /// Fallible delete (legacy name; `delete` itself is now fallible).
-    #[deprecated(since = "0.2.0", note = "`Session::delete` is now fallible; call it directly")]
-    pub fn try_delete(&self, key: &K) -> Result<(), StoreError> {
-        match self.delete(key) {
-            Ok(_) => Ok(()),
-            Err(OpError::ReadOnly(r)) => Err(StoreError::ReadOnly(r)),
-            Err(_) => unreachable!("delete only fails ReadOnly"),
-        }
-    }
-
-    /// Algorithm 3 body, shared by the scalar and batched paths (the wrapper
-    /// owns stats and epoch bookkeeping).
+    /// Algorithm 3 body.
     fn upsert_internal(&self, key: &K, hash: KeyHash, value: &V) {
+        let inner = &self.store.inner;
+        let f = &inner.functions;
         loop {
-            let inner = &self.store.inner;
-            let f = &inner.functions;
-            match inner.index.find_or_create_tag(hash, Some(&self.guard)) {
+            let (link, rcu) = match inner.index.find_or_create_tag(hash, Some(&self.guard)) {
+                CreateOutcome::Created(created) => (Link::Fresh(created), false),
                 CreateOutcome::Found(slot) => {
                     let entry = slot.load();
-                    if is_rc(entry.address()) {
-                        // Cache records are never updated in place: write a
-                        // fresh primary record, splicing the cache copy out.
-                        let prev = self.chain_prev_for_new_record(entry.address());
-                        let (addr, rec) = self.write_record(prev, key, 0);
-                        let f = &self.store.inner.functions;
-                        f.single_writer(key, value, unsafe { rec.value_mut() });
-                        match slot.cas_address(entry, addr) {
-                            Ok(()) => {
-                                self.count_write(&self.rec.rcu);
-                                self.note_dead(1);
-                                let post = rec.read_value();
-                                self.wal_log(crate::walrec::KIND_PUT, key, Some(&post));
-                                return;
-                            }
-                            Err(_) => {
-                                rec.set_bits(INVALID_BIT);
-                                self.note_dead(1);
-                                continue;
-                            }
-                        }
-                    }
-                    let ro = inner.log.ipu_boundary();
-                    // Trace only the mutable suffix: anything deeper gets
-                    // shadowed by the new tail record anyway (Alg 3).
-                    if let Some((_, p)) = self.find_in_memory_above(key, entry.address(), ro) {
+                    // Cache records are never updated in place: the RCU
+                    // below splices the cache copy out. Trace only the
+                    // mutable suffix: anything deeper gets shadowed by the
+                    // new tail record anyway.
+                    let found = if is_rc(entry.address()) {
+                        None
+                    } else {
+                        self.find_in_memory_above(key, entry.address(), inner.log.ipu_boundary())
+                    };
+                    if let Some((_, p)) = found {
+                        // Safety: resident above this guard's read-only boundary.
                         let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
                         if !rec.header().is_tombstone() && !rec.header().is_delta() {
                             f.concurrent_writer(key, value, rec.value_cell());
                             self.count_write(&self.rec.in_place);
                             // Post-image read may interleave with a racing
                             // writer of the same cell; the WAL then orders
-                            // the two racers arbitrarily, exactly as racy
-                            // as the in-place update itself (DESIGN.md §10).
-                            let post = rec.read_value();
-                            self.wal_log(crate::walrec::KIND_PUT, key, Some(&post));
+                            // the two racers arbitrarily, exactly as racy as
+                            // the in-place update itself (DESIGN.md §10).
+                            self.wal_log(crate::walrec::KIND_PUT, key, Some(&rec.read_value()));
                             return;
                         }
                     }
-                    // RCU: new record at the tail, linked to the old chain.
-                    let (addr, rec) = self.write_record(entry.address(), key, 0);
-                    let f = &self.store.inner.functions;
-                    f.single_writer(key, value, unsafe { rec.value_mut() });
-                    match slot.cas_address(entry, addr) {
-                        Ok(()) => {
-                            self.count_write(&self.rec.rcu);
-                            self.note_dead(1);
-                            let post = rec.read_value();
-                            self.wal_log(crate::walrec::KIND_PUT, key, Some(&post));
-                            return;
-                        }
-                        Err(_) => {
-                            rec.set_bits(INVALID_BIT);
-                            self.note_dead(1);
-                            continue; // Alg 3 line 19: retry
-                        }
-                    }
+                    (Link::Swap(slot, entry), true)
                 }
-                CreateOutcome::Created(created) => {
-                    let (addr, rec) = self.write_record(Address::INVALID, key, 0);
-                    let f = &self.store.inner.functions;
-                    f.single_writer(key, value, unsafe { rec.value_mut() });
-                    created.finalize(addr);
-                    self.count_write(&self.rec.appends);
-                    let post = rec.read_value();
-                    self.wal_log(crate::walrec::KIND_PUT, key, Some(&post));
-                    return;
-                }
+            };
+            // RCU (or insert): new record at the tail, linked to the old chain.
+            if self.put(link, key, rcu, |v| f.single_writer(key, value, v)) {
+                return;
             }
+            // Alg 3 line 19: retry.
         }
     }
 
@@ -939,14 +932,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     /// [`OpError::Pending`] for disk-resident records or fuzzy-region hits,
     /// and refuses with [`OpError::ReadOnly`] on a degraded store.
     pub fn rmw(&self, key: &K, input: &F::Input) -> OpResult<F::Output> {
-        self.writable()?;
-        let t = self.op_timer();
-        self.rec.rmws.inc();
-        let hash = hash_key(key);
-        let r = self.rmw_internal(key, hash, input, None);
-        t.observe(&self.hub.rmw_latency);
-        self.maybe_refresh();
-        r
+        self.scalar(Op::Rmw { key, input }, &self.hub.rmw_latency)
     }
 
     fn rmw_internal(
@@ -956,215 +942,125 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         input: &F::Input,
         reuse_id: Option<u64>,
     ) -> OpResult<F::Output> {
+        let inner = &self.store.inner;
+        let f = &inner.functions;
         loop {
-            let inner = &self.store.inner;
-            let f = &inner.functions;
-            match inner.index.find_or_create_tag(hash, Some(&self.guard)) {
-                CreateOutcome::Found(slot) => {
-                    let entry = slot.load();
-                    if is_rc(entry.address()) {
-                        // Cache hit for RMW: the old value is right here —
-                        // no I/O needed. Write the updated primary record.
-                        let rc_rec = inner
-                            .rc
-                            .as_ref()
-                            .and_then(|rc| rc.get(rc_untag(entry.address())));
-                        match rc_rec {
-                            Some(p) => {
-                                let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-                                if rec.key() == *key {
-                                    let old = rec.read_value();
-                                    if self.rcu_create(&slot, entry, key, input, Some(old)) {
-                                        return Ok(Outcome::Done);
-                                    }
-                                    continue;
-                                }
-                                // Cached record is another key's: fall
-                                // through and trace from its primary prev.
-                            }
-                            None => {
-                                // Evicted: let the hook restore the entry.
-                                self.refresh();
-                                continue;
-                            }
-                        }
-                    }
-                    let head = inner.log.head_address();
-                    let chain_head = self.chain_prev_for_new_record(entry.address());
-                    match self.find_in_memory_above(key, chain_head, head) {
-                        Some((laddr, p)) => {
-                            let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-                            let h = rec.header();
-                            if h.is_tombstone() {
-                                // Deleted: re-create from the initial value.
-                                if self.rcu_create(&slot, entry, key, input, None) {
-                                    return Ok(Outcome::Done);
-                                }
-                                continue;
-                            }
-                            // Classify against the walk's head snapshot: a
-                            // flush completion may have pushed the live head
-                            // past `laddr` since, but its frame stays mapped
-                            // until this guard refreshes.
-                            match inner.log.classify_with_head(laddr, head) {
-                                Region::Mutable => {
-                                    f.in_place_updater(key, input, rec.value_cell());
-                                    self.count_write(&self.rec.in_place);
-                                    let post = rec.read_value();
-                                    self.wal_log(crate::walrec::KIND_PUT, key, Some(&post));
-                                    return Ok(Outcome::Done);
-                                }
-                                Region::Fuzzy => {
-                                    if f.is_mergeable() {
-                                        // CRDT: append a delta (§6.3).
-                                        if self.append_delta(&slot, entry, key, input) {
-                                            return Ok(Outcome::Done);
-                                        }
-                                        continue;
-                                    }
-                                    // Defer: pending list, retried later.
-                                    self.rec.fuzzy_pending.inc();
-                                    return Err(OpError::Pending(
-                                        self.queue_fuzzy_retry(key, hash, input, reuse_id),
-                                    ));
-                                }
-                                Region::ReadOnly => {
-                                    if h.is_delta() {
-                                        // RCU of a delta would double-count:
-                                        // append a fresh delta instead.
-                                        debug_assert!(f.is_mergeable());
-                                        if self.append_delta(&slot, entry, key, input) {
-                                            return Ok(Outcome::Done);
-                                        }
-                                        continue;
-                                    }
-                                    // Copy to tail with the updated value.
-                                    let old = rec.read_value();
-                                    if self.rcu_create(&slot, entry, key, input, Some(old)) {
-                                        return Ok(Outcome::Done);
-                                    }
-                                    continue;
-                                }
-                                Region::OnDisk => unreachable!("found at or above the head snapshot"),
-                            }
-                        }
-                        None => {
-                            // Not in memory. Distinguish "chain continues on
-                            // disk" from "chain ends".
-                            let disk = self.first_below(key, chain_head, head);
-                            match disk {
-                                Some(daddr) => {
-                                    if f.is_mergeable() {
-                                        // CRDT: no need to read the old value.
-                                        if self.append_delta(&slot, entry, key, input) {
-                                            return Ok(Outcome::Done);
-                                        }
-                                        continue;
-                                    }
-                                    return Err(OpError::Pending(self.issue_rmw_io(
-                                        key,
-                                        hash,
-                                        input,
-                                        daddr,
-                                        entry.address(),
-                                        reuse_id,
-                                    )));
-                                }
-                                None => {
-                                    // Absent: create from the initial value.
-                                    if self.rcu_create(&slot, entry, key, input, None) {
-                                        return Ok(Outcome::Done);
-                                    }
-                                    continue;
-                                }
-                            }
-                        }
-                    }
-                }
+            let slot = match inner.index.find_or_create_tag(hash, Some(&self.guard)) {
+                CreateOutcome::Found(slot) => slot,
                 CreateOutcome::Created(created) => {
-                    let (addr, rec) = self.write_record(Address::INVALID, key, 0);
-                    let f = &self.store.inner.functions;
-                    f.initial_updater(key, input, unsafe { rec.value_mut() });
-                    created.finalize(addr);
-                    self.count_write(&self.rec.appends);
-                    let post = rec.read_value();
-                    self.wal_log(crate::walrec::KIND_PUT, key, Some(&post));
+                    self.rcu_create(Link::Fresh(created), key, input, None);
                     return Ok(Outcome::Done);
                 }
+            };
+            let entry = slot.load();
+            let chain_head = if is_rc(entry.address()) {
+                // Cache hit for RMW: the old value is right here — no I/O
+                // needed. Write the updated primary record.
+                let Some(p) = inner.rc.as_ref().and_then(|rc| rc.get(rc_untag(entry.address()))) else {
+                    // Evicted: let the hook restore the entry.
+                    self.refresh();
+                    continue;
+                };
+                // Safety: epoch-protected resident cache record.
+                let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
+                if rec.key() == *key {
+                    let old = rec.read_value();
+                    if self.rcu_create(Link::Swap(slot, entry), key, input, Some(old)) {
+                        return Ok(Outcome::Done);
+                    }
+                    continue;
+                }
+                // Cached record is another key's: trace from its primary prev.
+                rec.header().prev()
+            } else {
+                entry.address()
+            };
+            let head = inner.log.head_address();
+            // Built only on the publishing paths, not on the in-place one.
+            let link = move || Link::Swap(slot, entry);
+            let applied = match self.find_in_memory_above(key, chain_head, head) {
+                Some((laddr, p)) => {
+                    // Safety: resident above this guard's head snapshot.
+                    let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
+                    let h = rec.header();
+                    // Classify against the walk's head snapshot: a flush
+                    // completion may have pushed the live head past `laddr`
+                    // since, but its frame stays mapped until this guard
+                    // refreshes.
+                    match inner.log.classify_with_head(laddr, head) {
+                        // Deleted: re-create from the initial value.
+                        _ if h.is_tombstone() => self.rcu_create(link(), key, input, None),
+                        Region::Mutable => {
+                            f.in_place_updater(key, input, rec.value_cell());
+                            self.count_write(&self.rec.in_place);
+                            self.wal_log(crate::walrec::KIND_PUT, key, Some(&rec.read_value()));
+                            return Ok(Outcome::Done);
+                        }
+                        // CRDT: append a delta (§6.3).
+                        Region::Fuzzy if f.is_mergeable() => self.append_delta(link(), key, input),
+                        Region::Fuzzy => {
+                            // Defer: pending list, retried later.
+                            self.rec.fuzzy_pending.inc();
+                            let op = self.pending_op(PendingKind::Rmw, key, hash, input, reuse_id);
+                            let id = op.id;
+                            self.outstanding.set(self.outstanding.get() + 1);
+                            self.retries.borrow_mut().push_back(op);
+                            return Err(OpError::Pending(id));
+                        }
+                        // RCU of a delta would double-count: append a fresh
+                        // delta instead.
+                        Region::ReadOnly if h.is_delta() => self.append_delta(link(), key, input),
+                        // Copy to tail with the updated value.
+                        Region::ReadOnly => self.rcu_create(link(), key, input, Some(rec.read_value())),
+                        Region::OnDisk => unreachable!("found at or above the head snapshot"),
+                    }
+                }
+                // Not in memory: the chain either continues on disk or ends.
+                None => match self.first_below(key, chain_head, head) {
+                    // CRDT: no need to read the old value.
+                    Some(_) if f.is_mergeable() => self.append_delta(link(), key, input),
+                    Some(daddr) => {
+                        let op = PendingOp {
+                            read_addr: daddr,
+                            entry_addr: entry.address(),
+                            ..self.pending_op(PendingKind::Rmw, key, hash, input, reuse_id)
+                        };
+                        return Err(OpError::Pending(self.issue_io(op)));
+                    }
+                    // Absent: create from the initial value.
+                    None => self.rcu_create(link(), key, input, None),
+                },
+            };
+            if applied {
+                return Ok(Outcome::Done);
             }
         }
     }
 
-    /// Creates the RCU/initial record and CASes the index (Alg 4
+    /// Creates the RCU/initial record and publishes it (Alg 4
     /// CREATE_RECORD). Returns false if the CAS lost (caller retries).
-    fn rcu_create(
-        &self,
-        slot: &EntrySlot<'_>,
-        entry: HashBucketEntry,
-        key: &K,
-        input: &F::Input,
-        old: Option<V>,
-    ) -> bool {
-        // A tagged (read-cache) chain head must not be embedded in a durable
-        // record header: splice past it to its primary address.
-        let prev = self.chain_prev_for_new_record(entry.address());
-        let (addr, rec) = self.write_record(prev, key, 0);
+    fn rcu_create(&self, link: Link<'_>, key: &K, input: &F::Input, old: Option<V>) -> bool {
         let f = &self.store.inner.functions;
-        let had_old = old.is_some();
-        match old {
-            Some(old) => f.copy_updater(key, input, &old, unsafe { rec.value_mut() }),
-            None => f.initial_updater(key, input, unsafe { rec.value_mut() }),
-        }
-        match slot.cas_address(entry, addr) {
-            Ok(()) => {
-                // With an old value this is a read-copy-update; without one
-                // it (re-)creates the key from the initial value.
-                self.count_write(if had_old { &self.rec.rcu } else { &self.rec.appends });
-                if had_old {
-                    self.note_dead(1);
-                }
-                let post = rec.read_value();
-                self.wal_log(crate::walrec::KIND_PUT, key, Some(&post));
-                true
-            }
-            Err(_) => {
-                rec.set_bits(INVALID_BIT);
-                self.note_dead(1);
-                false
-            }
-        }
+        // With an old value this is a read-copy-update; without one it
+        // (re-)creates the key from the initial value.
+        self.put(link, key, old.is_some(), |v| match &old {
+            Some(old) => f.copy_updater(key, input, old, v),
+            None => f.initial_updater(key, input, v),
+        })
     }
 
     /// Creates a CRDT delta record (partial value from the identity) at the
     /// tail (§6.3).
-    fn append_delta(
-        &self,
-        slot: &EntrySlot<'_>,
-        entry: HashBucketEntry,
-        key: &K,
-        input: &F::Input,
-    ) -> bool {
-        let prev = self.chain_prev_for_new_record(entry.address());
-        let (addr, rec) = self.write_record(prev, key, DELTA_BIT);
+    fn append_delta(&self, link: Link<'_>, key: &K, input: &F::Input) -> bool {
         let f = &self.store.inner.functions;
-        let identity = f.identity();
-        f.copy_updater(key, input, &identity, unsafe { rec.value_mut() });
-        match slot.cas_address(entry, addr) {
-            Ok(()) => {
-                self.count_write(&self.rec.appends);
-                self.rec.deltas.inc();
-                // The delta record is exclusively ours (fresh tail record),
-                // so the logged partial is exact.
-                let partial = rec.read_value();
-                self.wal_log(crate::walrec::KIND_DELTA, key, Some(&partial));
-                true
-            }
-            Err(_) => {
-                rec.set_bits(INVALID_BIT);
-                self.note_dead(1);
-                false
-            }
-        }
+        let filled = self.publish(link, key, DELTA_BIT, |v| f.copy_updater(key, input, &f.identity(), v));
+        let Some(rec) = filled else { return false };
+        self.count_write(&self.rec.appends);
+        self.rec.deltas.inc();
+        // The delta record is exclusively ours (fresh tail record), so the
+        // logged partial is exact.
+        self.wal_log(crate::walrec::KIND_DELTA, key, Some(&rec.read_value()));
+        true
     }
 
     // ============================================================== DELETE
@@ -1173,51 +1069,29 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     /// the space (Appendix C). Deleting an absent key is still `Done`;
     /// refuses with [`OpError::ReadOnly`] on a degraded store.
     pub fn delete(&self, key: &K) -> OpResult<F::Output> {
-        self.writable()?;
-        let t = self.op_timer();
-        self.rec.deletes.inc();
-        let hash = hash_key(key);
-        self.delete_internal(key, hash);
-        t.observe(&self.hub.delete_latency);
-        self.maybe_refresh();
-        Ok(Outcome::Done)
+        self.scalar(Op::Delete { key }, &self.hub.delete_latency)
     }
 
-    /// Tombstone append, shared by the scalar and batched paths.
+    /// Tombstone append.
     fn delete_internal(&self, key: &K, hash: KeyHash) {
-        loop {
-            let inner = &self.store.inner;
-            match inner.index.find_tag(hash, Some(&self.guard)) {
-                None => break, // nothing to delete
-                Some(slot) => {
-                    let entry = slot.load();
-                    let prev = self.chain_prev_for_new_record(entry.address());
-                    if !is_rc(entry.address())
-                        && (!entry.address().is_valid()
-                            || entry.address() < inner.log.begin_address())
-                    {
-                        // GC'd chain: drop the dangling entry (Appendix C).
-                        let _ = slot.cas_delete(entry);
-                        break;
-                    }
-                    let (addr, rec) = self.write_record(prev, key, TOMBSTONE_BIT);
-                    // Tombstones carry no value; zeroed frame bytes suffice.
-                    match slot.cas_address(entry, addr) {
-                        Ok(()) => {
-                            self.count_write(&self.rec.appends);
-                            // The shadowed version plus the tombstone itself
-                            // are both reclaimable by compaction.
-                            self.note_dead(2);
-                            self.wal_log(crate::walrec::KIND_DELETE, key, None);
-                            break;
-                        }
-                        Err(_) => {
-                            rec.set_bits(INVALID_BIT);
-                            self.note_dead(1);
-                            continue;
-                        }
-                    }
-                }
+        let inner = &self.store.inner;
+        // No entry: nothing to delete.
+        while let Some(slot) = inner.index.find_tag(hash, Some(&self.guard)) {
+            let entry = slot.load();
+            let a = entry.address();
+            if !is_rc(a) && (!a.is_valid() || a < inner.log.begin_address()) {
+                // GC'd chain: drop the dangling entry (Appendix C).
+                let _ = slot.cas_delete(entry);
+                return;
+            }
+            // Tombstones carry no value; zeroed frame bytes suffice.
+            if self.publish(Link::Swap(slot, entry), key, TOMBSTONE_BIT, |_| ()).is_some() {
+                self.count_write(&self.rec.appends);
+                // The shadowed version plus the tombstone itself are both
+                // reclaimable by compaction.
+                self.note_dead(2);
+                self.wal_log(crate::walrec::KIND_DELETE, key, None);
+                return;
             }
         }
     }
@@ -1229,18 +1103,27 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     // hash → bucket probe → record dereference — so each op stalls on two
     // DRAM round-trips. The batched entry points run that chain as a
     // MICA-style software pipeline over the whole batch: hash every key and
-    // prefetch every target bucket, then probe every bucket and prefetch
-    // every resolved record, then execute. The loads of one stage are
-    // independent across ops, so their cache misses overlap up to the
+    // prefetch every target bucket, then (reads) probe every bucket and
+    // prefetch every resolved record, then execute. The loads of one stage
+    // are independent across ops, so their cache misses overlap up to the
     // memory-level parallelism of the core instead of serializing.
     //
     // Semantics are identical to issuing the ops sequentially on this
-    // session: each op executes (and linearizes) one at a time in submission
-    // order in the final stage; the earlier stages are pure hints plus an
-    // index probe that the execute stage re-validates exactly the way the
-    // scalar path does. Epoch refresh is amortized to once per batch, which
-    // is also the natural cadence for draining I/O completions
-    // ([`Session::complete_pending`] once per batch, not once per op).
+    // session: each op runs through the same `dispatch` as a scalar call,
+    // one at a time in submission order, in the final stage; the earlier
+    // stages are pure hints plus an index probe that the execute stage
+    // re-validates exactly the way the scalar path does. Epoch refresh is
+    // amortized to once per batch, which is also the natural cadence for
+    // draining I/O completions ([`Session::complete_pending`] once per
+    // batch, not once per op).
+
+    /// Pipeline stage 1 for one key: hash it and prefetch its bucket.
+    #[inline]
+    fn hash_and_prefetch(&self, key: &K) -> KeyHash {
+        let h = hash_key(key);
+        self.store.inner.index.prefetch_bucket(h);
+        h
+    }
 
     /// Reads a batch of keys with one shared `input`, returning one result
     /// per key in order. Equivalent to calling [`Session::read`] per key;
@@ -1248,110 +1131,31 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     pub fn read_batch(&self, keys: &[K], input: &F::Input) -> Vec<OpResult<F::Output>> {
         let inner = &self.store.inner;
         self.rec.batches.inc();
-        self.rec.reads.add(keys.len() as u64);
-        // Stage 1: hash every key, prefetch every target bucket.
-        let mut hashes: Vec<KeyHash> = Vec::with_capacity(keys.len());
-        for key in keys {
-            let h = hash_key(key);
-            inner.index.prefetch_bucket(h);
-            hashes.push(h);
-        }
+        let hashes: Vec<KeyHash> = keys.iter().map(|key| self.hash_and_prefetch(key)).collect();
         // Stage 2: probe the (now arriving) buckets; prefetch each resolved
         // chain head so the record lines are in flight before stage 3.
-        let mut heads: Vec<Address> = Vec::with_capacity(keys.len());
-        for &hash in &hashes {
-            let head = match inner.index.find_tag(hash, Some(&self.guard)) {
-                Some(slot) => slot.load().address(),
-                None => Address::INVALID,
-            };
-            if is_rc(head) {
-                if let Some(rc_log) = inner.rc.as_ref() {
-                    rc_log.prefetch(rc_untag(head));
-                }
-            } else if head.is_valid() {
-                inner.log.prefetch(head);
-            }
-            heads.push(head);
-        }
-        // Stage 2.5 (opt-in via `prefetch_prev_chain`): by now the head
-        // lines issued in stage 2 are arriving, so dereferencing each head
-        // header is cheap; prefetch one `prev` hop so collided chains don't
-        // stall stage 3 on a second dependent load (ROADMAP prefetch
-        // experiment — measured in EXPERIMENTS.md).
-        if inner.cfg.prefetch_prev_chain {
-            for &head in &heads {
-                if !head.is_valid() || is_rc(head) {
-                    continue;
-                }
-                if let Some(p) = inner.log.get(head) {
-                    // Safety: epoch-protected resident record.
-                    let prev = unsafe { RecordRef::<K, V>::from_raw(p) }.header().prev();
-                    if prev.is_valid() && !is_rc(prev) && prev >= inner.log.head_address() {
-                        inner.log.prefetch(prev);
+        let heads: Vec<Address> = hashes
+            .iter()
+            .map(|&hash| {
+                let head = self.chain_head(hash);
+                if is_rc(head) {
+                    if let Some(rc_log) = inner.rc.as_ref() {
+                        rc_log.prefetch(rc_untag(head));
                     }
+                } else if head.is_valid() {
+                    inner.log.prefetch(head);
                 }
-            }
-        }
+                head
+            })
+            .collect();
         // Stage 3: execute in submission order — the same walk as scalar
         // `read`, resumed from the already-probed chain head.
-        let mut out = Vec::with_capacity(keys.len());
-        for (i, key) in keys.iter().enumerate() {
-            self.read_rc_hit.set(false);
-            let r = if heads[i].is_valid() {
-                self.read_internal(key, hashes[i], input, heads[i], None, Vec::new(), None)
-            } else {
-                self.finish_read(key, input, None)
-            };
-            self.classify_read(&r);
-            out.push(r);
-        }
+        let out = keys
+            .iter()
+            .zip(hashes.iter().zip(&heads))
+            .map(|(key, (&hash, &head))| self.dispatch(Op::Read { key, input, head: Some(head) }, hash))
+            .collect();
         self.batch_tick(keys.len());
-        out
-    }
-
-    /// Upserts a batch of key/value pairs. Equivalent to calling
-    /// [`Session::upsert`] per pair, in order; on a read-only store the
-    /// whole batch is refused (no prefix is applied).
-    pub fn upsert_batch(&self, pairs: &[(K, V)]) -> Result<(), OpError> {
-        self.writable()?;
-        let inner = &self.store.inner;
-        self.rec.batches.inc();
-        self.rec.upserts.add(pairs.len() as u64);
-        let mut hashes: Vec<KeyHash> = Vec::with_capacity(pairs.len());
-        for (key, _) in pairs {
-            let h = hash_key(key);
-            inner.index.prefetch_bucket(h);
-            hashes.push(h);
-        }
-        for (i, (key, value)) in pairs.iter().enumerate() {
-            self.upsert_internal(key, hashes[i], value);
-        }
-        self.batch_tick(pairs.len());
-        Ok(())
-    }
-
-    /// RMWs a batch of key/input pairs, returning one result per op in
-    /// order. Equivalent to calling [`Session::rmw`] per pair; pending
-    /// results complete through [`Session::complete_pending`]. On a
-    /// read-only store every slot is `Err(ReadOnly)`.
-    pub fn rmw_batch(&self, ops: &[(K, F::Input)]) -> Vec<OpResult<F::Output>> {
-        if let Err(e) = self.writable() {
-            return ops.iter().map(|_| Err(e.clone())).collect();
-        }
-        let inner = &self.store.inner;
-        self.rec.batches.inc();
-        self.rec.rmws.add(ops.len() as u64);
-        let mut hashes: Vec<KeyHash> = Vec::with_capacity(ops.len());
-        for (key, _) in ops {
-            let h = hash_key(key);
-            inner.index.prefetch_bucket(h);
-            hashes.push(h);
-        }
-        let mut out = Vec::with_capacity(ops.len());
-        for (i, (key, input)) in ops.iter().enumerate() {
-            out.push(self.rmw_internal(key, hashes[i], input, None));
-        }
-        self.batch_tick(ops.len());
         out
     }
 
@@ -1363,59 +1167,9 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     /// exactly what a protocol front-end needs to keep serving GETs while
     /// SETs bounce (DESIGN.md §12/§13).
     pub fn execute_batch(&self, ops: &[BatchOp<K, V, F::Input>]) -> Vec<OpResult<F::Output>> {
-        let inner = &self.store.inner;
         self.rec.batches.inc();
-        // One health check per batch, applied positionally to mutations.
-        let refused = self.writable().err();
-        for op in ops {
-            match op {
-                BatchOp::Read { .. } => self.rec.reads.inc(),
-                BatchOp::Upsert { .. } => self.rec.upserts.inc(),
-                BatchOp::Rmw { .. } => self.rec.rmws.inc(),
-                BatchOp::Delete { .. } => self.rec.deletes.inc(),
-            }
-        }
-        let mut hashes: Vec<KeyHash> = Vec::with_capacity(ops.len());
-        for op in ops {
-            let h = hash_key(op.key());
-            inner.index.prefetch_bucket(h);
-            hashes.push(h);
-        }
-        let mut out = Vec::with_capacity(ops.len());
-        for (i, op) in ops.iter().enumerate() {
-            let hash = hashes[i];
-            if let Some(e) = &refused {
-                if !matches!(op, BatchOp::Read { .. }) {
-                    out.push(Err(e.clone()));
-                    continue;
-                }
-            }
-            out.push(match op {
-                BatchOp::Read { key, input } => {
-                    self.read_rc_hit.set(false);
-                    let r = self.read_internal(
-                        key,
-                        hash,
-                        input,
-                        Address::INVALID,
-                        None,
-                        Vec::new(),
-                        None,
-                    );
-                    self.classify_read(&r);
-                    r
-                }
-                BatchOp::Upsert { key, value } => {
-                    self.upsert_internal(key, hash, value);
-                    Ok(Outcome::Done)
-                }
-                BatchOp::Rmw { key, input } => self.rmw_internal(key, hash, input, None),
-                BatchOp::Delete { key } => {
-                    self.delete_internal(key, hash);
-                    Ok(Outcome::Done)
-                }
-            });
-        }
+        let hashes: Vec<KeyHash> = ops.iter().map(|op| self.hash_and_prefetch(op.op().key())).collect();
+        let out = ops.iter().zip(hashes).map(|(op, hash)| self.dispatch(op.op(), hash)).collect();
         self.batch_tick(ops.len());
         out
     }
@@ -1423,166 +1177,79 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     /// Returns up to `limit` historical versions of `key`, newest first, by
     /// walking the record chain across memory and storage (Appendix F:
     /// "query historical values of a given key (since our record versions
-    /// are linked in the log)"). Deltas are folded into their successors'
-    /// running value; a tombstone ends the history. Storage hops block —
-    /// this is an analytics path, not an operation path.
+    /// are linked in the log)"). Deltas fold into the next older base
+    /// version; a tombstone ends the history. Storage hops block — this is
+    /// an analytics path, not an operation path.
     pub fn read_history(&self, key: &K, limit: usize) -> Vec<V> {
         let inner = &self.store.inner;
-        let hash = hash_key(key);
+        let f = &inner.functions;
         let mut out = Vec::new();
-        let Some(slot) = inner.index.find_tag(hash, Some(&self.guard)) else {
-            return out;
+        let mut walk = ChainWalk::new();
+        let mut addr = loop {
+            match self.chain_prev_for_new_record(self.chain_head(hash_key(key))) {
+                Some(head) => break head,
+                None => self.refresh(), // an evicted cache head: let the hook restore it
+            }
         };
-        let mut addr = slot.load().address();
-        let mut fallbacks: Vec<Address> = Vec::new();
         while out.len() < limit {
-            if is_rc(addr) {
-                addr = self.chain_prev_for_new_record(addr);
-                continue;
+            let Some(next) = walk.resume(addr, inner.log.begin_address()) else { break };
+            let Some(rec) = self.store.fetch_record_blocking(next) else { break };
+            addr = rec.header().prev();
+            match walk.step(f, key, &rec) {
+                Step::Next(_) => {}
+                Step::Deleted => break,
+                Step::Base => out.push(walk.fold_base(f, rec.value())),
             }
-            if !addr.is_valid() || addr < inner.log.begin_address() {
-                match fallbacks.pop() {
-                    Some(a) => {
-                        addr = a;
-                        continue;
-                    }
-                    None => break,
-                }
-            }
-            let parsed: Option<(RecordHeader, K, V, Option<Address>)> = match inner.log.get(addr) {
-                Some(p) => {
-                    let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-                    let second = if rec.header().is_merge() {
-                        Some(unsafe { MergeRecord::second_address(p) })
-                    } else {
-                        None
-                    };
-                    Some((rec.header(), rec.key(), rec.read_value(), second))
-                }
-                None => {
-                    // Blocking storage hop (maintenance/analytics path).
-                    let (tx, rx) = std::sync::mpsc::channel();
-                    inner.log.read_async(
-                        addr,
-                        RecordRef::<K, V>::size(),
-                        Box::new(move |r| {
-                            let _ = tx.send(r);
-                        }),
-                    );
-                    match rx.recv().ok().and_then(|r| r.ok()) {
-                        Some(bytes) => RecordRef::<K, V>::parse_bytes(&bytes).map(|(h, k, v)| {
-                            let second = if h.is_merge() {
-                                Some(Address::new(
-                                    u64::from_le_bytes(bytes[8..16].try_into().expect("size"))
-                                        & Address::MASK,
-                                ))
-                            } else {
-                                None
-                            };
-                            (h, k, v, second)
-                        }),
-                        None => None,
-                    }
-                }
-            };
-            let Some((h, k, v, second)) = parsed else { break };
-            if let Some(sec) = second {
-                fallbacks.push(sec);
-                addr = h.prev();
-                continue;
-            }
-            if h.is_invalid() || k != *key {
-                addr = h.prev();
-                continue;
-            }
-            if h.is_tombstone() {
-                break;
-            }
-            out.push(v);
-            addr = h.prev();
+        }
+        if out.len() < limit {
+            out.extend(walk.finish(f, None));
         }
         out
     }
 
     // ============================================================ helpers
 
-    /// The `prev` pointer a new tail record should carry when the current
-    /// chain head is `head`: tagged read-cache heads are spliced out
-    /// (replaced by the primary address the cache record points at), since
-    /// cache addresses are volatile and must never persist in record
-    /// headers (Appendix D).
-    fn chain_prev_for_new_record(&self, head: Address) -> Address {
-        if !is_rc(head) {
-            return head;
-        }
-        let inner = &self.store.inner;
-        if let Some(rc_log) = inner.rc.as_ref() {
-            if let Some(p) = rc_log.get(rc_untag(head)) {
-                let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-                return rec.header().prev();
-            }
-        }
-        // Evicted: the hook is restoring the entry; our CAS (expected = the
-        // stale tagged entry) will fail and the operation retries.
-        Address::INVALID
-    }
-
     /// Copies a cache record hit outside the cache's mutable region to the
     /// cache tail (second chance), re-pointing the index entry.
     fn rc_second_chance(&self, key: &K, hash: KeyHash, rec: &RecordRef<K, V>, tagged: Address) {
-        let inner = &self.store.inner;
-        let Some(rc_log) = inner.rc.as_ref() else { return };
+        let Some(rc_log) = self.store.inner.rc.as_ref() else { return };
         if rc_log.classify(rc_untag(tagged)) == Region::Mutable {
             return; // young enough already
         }
-        let Some(slot) = inner.index.find_tag(hash, Some(&self.guard)) else { return };
-        let cur = slot.load();
-        if cur.address() != tagged {
-            return; // chain moved on
-        }
-        let addr = rc_log.allocate(RecordRef::<K, V>::size() as u32, &self.guard);
-        let p = rc_log.get(addr).expect("fresh cache allocation resident");
-        let new_rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-        new_rec.init_header(RecordHeader::new(rec.header().prev()));
-        new_rec.init_key(key);
-        unsafe { *new_rec.value_mut() = rec.read_value() };
-        if slot.cas_address(cur, rc_tag(addr)).is_ok() {
-            inner.metrics.read_cache.promotions.inc();
+        if self.rc_install(key, hash, tagged, rec.header().prev(), rec.read_value()) {
+            self.store.inner.metrics.read_cache.promotions.inc();
         }
     }
 
     /// After a disk read served a key whose record is the chain head,
-    /// inserts a copy into the read cache (Appendix D read path).
-    fn try_cache_insert(&self, key: &K, hash: KeyHash, value: &V, primary: Address) {
-        let inner = &self.store.inner;
-        let Some(rc_log) = inner.rc.as_ref() else { return };
-        let Some(slot) = inner.index.find_tag(hash, Some(&self.guard)) else { return };
-        let cur = slot.load();
-        if cur.address() != primary {
-            return; // only cache chain heads: anything else would hide
-                    // newer records of other keys
-        }
-        let addr = rc_log.allocate(RecordRef::<K, V>::size() as u32, &self.guard);
-        let p = rc_log.get(addr).expect("fresh cache allocation resident");
-        let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-        rec.init_header(RecordHeader::new(primary));
-        rec.init_key(key);
-        unsafe { *rec.value_mut() = *value };
-        if slot.cas_address(cur, rc_tag(addr)).is_ok() {
-            inner.metrics.read_cache.inserts.inc();
+    /// inserts a copy into the read cache (Appendix D read path). Only chain
+    /// heads are cached: anything else would hide newer records of other
+    /// keys.
+    fn try_cache_insert(&self, key: &K, hash: KeyHash, value: V, primary: Address) {
+        if self.rc_install(key, hash, primary, primary, value) {
+            self.store.inner.metrics.read_cache.inserts.inc();
         }
     }
 
-    /// Allocates and initializes a record (header + key) at the tail.
-    fn write_record(&self, prev: Address, key: &K, bits: u64) -> (Address, RecordRef<K, V>) {
+    /// Appends a read-cache copy of `(key, value)` whose `prev` is the
+    /// primary record `primary`, and swings the index entry to it iff the
+    /// entry still points at `expected`.
+    fn rc_install(&self, key: &K, hash: KeyHash, expected: Address, primary: Address, value: V) -> bool {
         let inner = &self.store.inner;
-        let addr = inner.log.allocate(RecordRef::<K, V>::size() as u32, &self.guard);
-        let p = inner.log.get(addr).expect("fresh tail allocation is resident");
-        // Safety: exclusive until published via the index CAS.
+        let Some(rc_log) = inner.rc.as_ref() else { return false };
+        let Some(slot) = inner.index.find_tag(hash, Some(&self.guard)) else { return false };
+        let cur = slot.load();
+        if cur.address() != expected {
+            return false; // chain moved on
+        }
+        let addr = rc_log.allocate(RecordRef::<K, V>::size() as u32, &self.guard);
+        let p = rc_log.get(addr).expect("fresh cache allocation resident");
+        // Safety: exclusive until published via the index.
         let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-        rec.init_header(RecordHeader::new(prev).with(bits));
+        rec.init_header(RecordHeader::new(primary));
         rec.init_key(key);
-        (addr, rec)
+        unsafe { *rec.value_mut() = value };
+        slot.cas_address(cur, rc_tag(addr)).is_ok()
     }
 
     /// Walks the in-memory chain from `from`, returning the first record
@@ -1629,57 +1296,14 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         None
     }
 
-    fn queue_fuzzy_retry(&self, key: &K, hash: KeyHash, input: &F::Input, reuse: Option<u64>) -> u64 {
-        let id = reuse.unwrap_or_else(|| self.fresh_id());
-        self.outstanding.set(self.outstanding.get() + 1);
-        self.retries.borrow_mut().push_back(PendingOp {
-            id,
-            key: *key,
-            hash,
-            input: input.clone(),
-            kind: PendingKind::RmwFuzzyRetry,
-            read_addr: Address::INVALID,
-            entry_addr: Address::INVALID,
-            acc: None,
-            fallbacks: Vec::new(),
-            attempts: 0,
-        });
-        id
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn issue_rmw_io(
-        &self,
-        key: &K,
-        hash: KeyHash,
-        input: &F::Input,
-        addr: Address,
-        entry_addr: Address,
-        reuse: Option<u64>,
-    ) -> u64 {
-        let id = reuse.unwrap_or_else(|| self.fresh_id());
-        self.rec.io_issued.inc();
-        self.outstanding.set(self.outstanding.get() + 1);
-        self.park_and_enqueue(PendingOp {
-            id,
-            key: *key,
-            hash,
-            input: input.clone(),
-            kind: PendingKind::Rmw,
-            read_addr: addr,
-            entry_addr,
-            acc: None,
-            fallbacks: Vec::new(),
-            attempts: 0,
-        });
-        id
-    }
-
     // ================================================== pending completion
 
     /// Processes completed asynchronous operations and fuzzy retries,
     /// returning finished [`Completion`]s. With `wait`, blocks until nothing
-    /// is outstanding — parked on the completion ring, not spinning.
+    /// is outstanding — parked on the completion ring, not spinning — and
+    /// then until this session's WAL appends are group-commit durable (a
+    /// failed WAL returns at once; the loss surfaces through
+    /// [`Session::wait_wal_durable`], which keeps erroring).
     ///
     /// Each pass: run fuzzy retries, hand every queued SQE to the device in
     /// one `submit_all` batch, reap CQEs straight off the ring, and resume
@@ -1687,58 +1311,47 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     /// queue fresh SQEs, which go out before the pass parks — the device is
     /// never idle while the session waits.
     pub fn complete_pending(&self, wait: bool) -> Vec<Completion<F::Output>> {
-        let mut done = std::mem::take(&mut *self.done_backlog.borrow_mut());
-        if self.outstanding.get() == 0 && self.wal_notices.borrow().is_empty() {
-            // Nothing outstanding: nothing queued, nothing parked, nothing
-            // in flight (every counted op is one of those), and no WAL
-            // durability notice waiting for its CQE. In particular `wait`
-            // must not touch the ring or the epoch here.
-            debug_assert!(self.sq.borrow().is_empty() && self.pending.borrow().is_empty());
-            self.wal_wait_if(wait);
-            return done;
-        }
-        loop {
-            // Fuzzy retries: by the time we're called again, the offending
-            // address is usually below safe-read-only and takes the RCU path.
-            let n_retries = self.retries.borrow().len();
-            for _ in 0..n_retries {
-                let op = { self.retries.borrow_mut().pop_front() }.expect("len checked");
-                self.dec_outstanding();
-                match self.rmw_internal(&op.key, op.hash, &op.input, Some(op.id)) {
-                    Ok(_) => done.push(Completion { id: op.id, result: Ok(Outcome::Done) }),
-                    Err(_) => { /* requeued under the same id */ }
+        let mut done = Vec::new();
+        // Nothing outstanding means nothing queued, parked or in flight
+        // (every counted op is one of those), and no WAL durability notice
+        // waiting for its CQE: then `wait` must not touch the ring or the
+        // epoch.
+        let idle = self.outstanding.get() == 0 && self.wal_notices.borrow().is_empty();
+        debug_assert!(!idle || (self.sq.borrow().is_empty() && self.pending.borrow().is_empty()));
+        if !idle {
+            loop {
+                // Fuzzy retries: by the time we're called again, the offending
+                // address is usually below safe-read-only and takes the RCU path.
+                let n_retries = self.retries.borrow().len();
+                for _ in 0..n_retries {
+                    let op = { self.retries.borrow_mut().pop_front() }.expect("len checked");
+                    self.dec_outstanding();
+                    // An `Err` re-queued it under the same id.
+                    if self.rmw_internal(&op.key, op.hash, &op.input, Some(op.id)).is_ok() {
+                        done.push(Completion { id: op.id, result: Ok(Outcome::Done) });
+                    }
                 }
+                // Batched doorbell, then reap whatever has completed so far.
+                self.submit_queued();
+                self.reap_and_run(&mut done);
+                // Continuations may have queued follow-up SQEs (next chain hop,
+                // transient retry): submit them before deciding to park.
+                self.submit_queued();
+                if !wait || self.outstanding.get() == 0 {
+                    break;
+                }
+                // Waiting on the device: refresh (epoch triggers must keep
+                // firing — our own I/O may be gated behind a flush), then park
+                // on the ring's condvar until a CQE lands or the bounded
+                // timeout forces another maintenance pass. No backoff spinning.
+                self.refresh();
+                self.ring.wait_nonempty(RING_WAIT);
             }
-            // Batched doorbell, then reap whatever has completed so far.
-            self.submit_queued();
-            self.reap_and_run(&mut done);
-            // Continuations may have queued follow-up SQEs (next chain hop,
-            // transient retry): submit them before deciding to park.
-            self.submit_queued();
-            if !wait || self.outstanding.get() == 0 {
-                break;
-            }
-            // Waiting on the device: refresh (epoch triggers must keep
-            // firing — our own I/O may be gated behind a flush), then park
-            // on the ring's condvar until a CQE lands or the bounded
-            // timeout forces another maintenance pass. No backoff spinning.
-            self.refresh();
-            self.ring.wait_nonempty(RING_WAIT);
         }
-        self.wal_wait_if(wait);
-        done
-    }
-
-    /// Ack-aware completion (DESIGN.md §10): a waiting `complete_pending`
-    /// also blocks until this session's WAL appends are group-commit
-    /// durable. A failed WAL returns immediately (the failure is sticky —
-    /// no group will ever ack again); the loss itself is surfaced through
-    /// [`Session::wait_wal_durable`] / [`Session::poll_wal_durable`], which
-    /// keep erroring.
-    fn wal_wait_if(&self, wait: bool) {
         if wait {
             let _ = self.wait_wal_durable();
         }
+        done
     }
 
     /// Hands every locally queued SQE to the device in one batch, sampling
@@ -1753,29 +1366,22 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     }
 
     /// Reaps every published CQE and resumes the continuation each one
-    /// keys. Returns the number of CQEs consumed.
-    fn reap_and_run(&self, done: &mut Vec<Completion<F::Output>>) -> usize {
+    /// keys.
+    fn reap_and_run(&self, done: &mut Vec<Completion<F::Output>>) {
         let mut cqes = std::mem::take(&mut *self.io_scratch.borrow_mut());
         self.ring.reap(&mut cqes);
-        let reaped = cqes.len();
         for cqe in cqes.drain(..) {
             // WAL durability notices share the ring but not the continuation
             // table (they are acks, not I/O): route them to their own slot.
             if self.wal_notices.borrow_mut().remove(&cqe.id) {
                 let r = cqe.result.map(|_| ());
                 if let Err(e) = &r {
-                    // A failed group commit is sticky: degrade, and latch the
-                    // session's own error so plain waits also report it.
-                    self.store.inner.health.to_read_only(HealthReason::WalFailed);
-                    let mut err = self.wal_error.borrow_mut();
-                    if err.is_none() {
-                        *err = Some(e.clone());
-                    }
+                    self.wal_failed(e.clone());
                 }
                 self.wal_notice_results.borrow_mut().insert(cqe.id, r);
                 continue;
             }
-            // Scope the table borrow: continuations re-enter `park_and_enqueue`.
+            // Scope the table borrow: continuations re-enter `issue_io`.
             let parked = self.pending.borrow_mut().remove(&cqe.id);
             let Some(Parked { mut op, issued, span }) = parked else {
                 debug_assert!(false, "CQE {} has no parked continuation", cqe.id);
@@ -1783,71 +1389,44 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
             };
             self.dec_outstanding();
             self.rec.io_completed.inc();
+            let log = &self.store.inner.log;
             // The reaper owns the completed half of the hlog read identity
             // (`make_read_sqe` counted the issue).
-            self.store.inner.log.metrics().reads_completed.inc();
+            log.metrics().reads_completed.inc();
             self.hub.io_latency.record(issued.elapsed().as_nanos() as u64);
-            match cqe.result {
-                Ok(bytes) => {
-                    let verified = match &span {
-                        Some(s) => self.store.inner.log.verify_extract(s, bytes),
-                        None => Ok(bytes),
-                    };
-                    match verified {
-                        Ok(bytes) => self.continue_io(op, bytes, done),
-                        Err(err) => {
-                            // Checksum mismatch (or a short read): never hand
-                            // the suspect bytes to the continuation, and never
-                            // answer "key absent" — the record may exist, we
-                            // just cannot prove what it held.
-                            self.rec.io_failed.inc();
-                            done.push(Completion { id: op.id, result: Err(OpError::Io(err)) });
-                        }
+            let verified = cqe.result.map(|bytes| match &span {
+                Some(s) => log.verify_extract(s, bytes),
+                None => Ok(bytes),
+            });
+            match verified {
+                Ok(Ok(bytes)) => self.continue_io(op, bytes, done),
+                // Transient device error: the record may well still be
+                // durable, so answering "key absent" here would fabricate a
+                // loss (and, for RMW, reset the value). Retry the same read
+                // with bounded backoff.
+                Err(faster_storage::IoError::Failed(_)) if op.attempts < MAX_IO_RETRIES => {
+                    op.attempts += 1;
+                    self.rec.io_retries.inc();
+                    let mut pause = faster_util::Backoff::new();
+                    for _ in 0..op.attempts {
+                        pause.snooze();
                     }
+                    self.issue_io(op);
                 }
-                Err(err @ faster_storage::IoError::Corrupt { .. }) => {
-                    // Quarantined page (or corruption detected at issue
-                    // time): permanent, no point retrying. Surface the typed
-                    // failure; the fault hook has already degraded the store.
+                // Checksum mismatch or short read, a quarantined page (the
+                // fault hook has already degraded the store), or an
+                // exhausted retry budget: never hand suspect bytes to the
+                // continuation and never answer "key absent" — the record
+                // may exist, we just cannot prove what it held. A distinct
+                // failure that mutates nothing.
+                Ok(Err(err))
+                | Err(err @ (faster_storage::IoError::Corrupt { .. } | faster_storage::IoError::Failed(_))) => {
                     self.rec.io_failed.inc();
                     done.push(Completion { id: op.id, result: Err(OpError::Io(err)) });
                 }
-                Err(err @ faster_storage::IoError::Failed(_)) => {
-                    // Transient device error: the record may well still
-                    // be durable, so answering "key absent" here would
-                    // fabricate a loss (and, for RMW, reset the value).
-                    // Retry the same read with bounded backoff; only
-                    // when the budget is exhausted surface a *distinct*
-                    // failure completion that mutates nothing.
-                    if op.attempts < MAX_IO_RETRIES {
-                        op.attempts += 1;
-                        self.rec.io_retries.inc();
-                        let mut pause = faster_util::Backoff::new();
-                        for _ in 0..op.attempts {
-                            pause.snooze();
-                        }
-                        self.reissue_io(op);
-                    } else {
-                        self.rec.io_failed.inc();
-                        done.push(Completion { id: op.id, result: Err(OpError::Io(err)) });
-                    }
-                }
-                Err(_) => {
-                    // Truncated (log GC) or out-of-range: the record is
-                    // genuinely gone — key absent along this path.
-                    match op.kind {
-                        PendingKind::Read => {
-                            let result = self.finish_read(&op.key, &op.input, op.acc.take());
-                            done.push(Completion { id: op.id, result });
-                        }
-                        PendingKind::Rmw => {
-                            if let Some(id) = self.rmw_complete(op, None) {
-                                done.push(Completion { id, result: Ok(Outcome::Done) });
-                            }
-                        }
-                        PendingKind::RmwFuzzyRetry => unreachable!("no I/O for fuzzy"),
-                    }
-                }
+                // Truncated (log GC) or out-of-range: the record is
+                // genuinely gone — this prong of the chain ends here.
+                Err(_) => self.continue_io(op, Vec::new(), done),
             }
         }
         // Hand the drain buffer back for reuse, shrinking a burst-sized
@@ -1856,156 +1435,64 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
             cqes.shrink_to(IO_SCRATCH_MAX);
         }
         *self.io_scratch.borrow_mut() = cqes;
-        reaped
     }
 
-    /// Continues a pending op with the record bytes read from storage.
-    fn continue_io(
-        &self,
-        mut op: PendingOp<K, V, F::Input>,
-        bytes: Vec<u8>,
-        done: &mut Vec<Completion<F::Output>>,
-    ) {
-        let parsed = RecordRef::<K, V>::parse_bytes(&bytes);
+    /// Continues a pending op with the record bytes read from storage: one
+    /// chain-walk step, then either another hop or the op's end. Empty or
+    /// unparsable bytes (padding, a truncated record) end this prong.
+    fn continue_io(&self, mut op: PendingOp<K, V, F::Input>, bytes: Vec<u8>, done: &mut Vec<Completion<F::Output>>) {
+        let f = &self.store.inner.functions;
+        let rec = RecordBytes::<_, K, V>::parse(bytes);
+        let step = match &rec {
+            Some(r) => op.walk.step(f, &op.key, r),
+            None => Step::Next(Address::INVALID),
+        };
+        let base = match step {
+            Step::Next(next) => match op.walk.resume(next, self.store.inner.log.begin_address()) {
+                Some(next) => return self.hop(op, next, done),
+                None => None,
+            },
+            Step::Deleted => None,
+            Step::Base => rec.map(|r| r.value()),
+        };
+        if let (PendingKind::Read, Some(v), None) = (op.kind, base, &op.walk.acc) {
+            // Appendix D: populate the read cache when the record read is
+            // still the chain head.
+            self.try_cache_insert(&op.key, op.hash, v, op.read_addr);
+        }
+        let value = std::mem::replace(&mut op.walk, ChainWalk::new()).finish(f, base);
         match op.kind {
             PendingKind::Read => {
-                let f = &self.store.inner.functions;
-                let (next, finished): (Option<Address>, Option<OpResult<F::Output>>) = match parsed
-                {
-                    None => (Some(Address::INVALID), None), // padding/garbage: stop this prong
-                    Some((h, k, v)) => {
-                        if h.is_merge() {
-                            let second = Address::new(
-                                u64::from_le_bytes(bytes[8..16].try_into().expect("record size"))
-                                    & Address::MASK,
-                            );
-                            op.fallbacks.push(second);
-                            (Some(h.prev()), None)
-                        } else if h.is_invalid() || k != op.key {
-                            (Some(h.prev()), None)
-                        } else if h.is_tombstone() {
-                            let r = match op.acc.take() {
-                                Some(a) => {
-                                    let merged = f.merge(&f.identity(), &a);
-                                    Ok(Outcome::Value(f.single_reader(&op.key, &op.input, &merged)))
-                                }
-                                None => Err(OpError::NotFound),
-                            };
-                            (None, Some(r))
-                        } else if h.is_delta() {
-                            op.acc = Some(match &op.acc {
-                                Some(a) => f.merge(a, &v),
-                                None => v,
-                            });
-                            (Some(h.prev()), None)
-                        } else {
-                            let out = match &op.acc {
-                                Some(a) => {
-                                    let merged = f.merge(&v, a);
-                                    f.single_reader(&op.key, &op.input, &merged)
-                                }
-                                None => f.single_reader(&op.key, &op.input, &v),
-                            };
-                            if op.acc.is_none() {
-                                // Appendix D: populate the read cache when
-                                // the record read is still the chain head.
-                                self.try_cache_insert(&op.key, op.hash, &v, op.read_addr);
-                            }
-                            (None, Some(Ok(Outcome::Value(out))))
-                        }
-                    }
-                };
-                if let Some(result) = finished {
-                    done.push(Completion { id: op.id, result });
-                    return;
+                let result = self.output(&op.key, &op.input, value);
+                done.push(Completion { id: op.id, result });
+            }
+            PendingKind::Rmw => {
+                if let Some(id) = self.rmw_complete(op, value) {
+                    done.push(Completion { id, result: Ok(Outcome::Done) });
                 }
-                let mut next_addr = next.expect("continue");
-                let begin = self.store.inner.log.begin_address();
-                loop {
-                    if !next_addr.is_valid() || next_addr < begin {
-                        match op.fallbacks.pop() {
-                            Some(a) => {
-                                next_addr = a;
-                                continue;
-                            }
-                            None => {
-                                let result = self.finish_read(&op.key, &op.input, op.acc);
-                                done.push(Completion { id: op.id, result });
-                                return;
-                            }
-                        }
-                    }
-                    break;
-                }
+            }
+        }
+    }
+
+    /// Takes a pending op one hop further down its chain, to `next`.
+    fn hop(&self, mut op: PendingOp<K, V, F::Input>, next: Address, done: &mut Vec<Completion<F::Output>>) {
+        match op.kind {
+            PendingKind::Read => {
                 // Resume the walk (usually another disk hop; may also climb
                 // back into memory after a merge-record fallback).
-                let key = op.key;
-                let hash = op.hash;
-                let input = op.input.clone();
-                let acc = op.acc.take();
-                let fallbacks = std::mem::take(&mut op.fallbacks);
-                let r =
-                    self.read_internal(&key, hash, &input, next_addr, acc, fallbacks, Some(op.id));
+                let walk = std::mem::replace(&mut op.walk, ChainWalk::new());
+                let r = self.read_internal(&op.key, op.hash, &op.input, next, walk, Some(op.id));
                 if !matches!(r, Err(OpError::Pending(_))) {
-                    // read_internal with an id only returns these when it
-                    // finished synchronously without queueing; normalize.
                     done.push(Completion { id: op.id, result: r });
                 }
             }
             PendingKind::Rmw => {
-                // Find the old value for this key along the disk chain.
-                match parsed {
-                    Some((h, k, v)) if !h.is_invalid() && k == op.key && !h.is_merge() => {
-                        let old = if h.is_tombstone() { None } else { Some(v) };
-                        if let Some(id) = self.rmw_complete(op, old) {
-                            done.push(Completion { id, result: Ok(Outcome::Done) });
-                        }
-                    }
-                    Some((h, _, _)) => {
-                        let mut next = h.prev();
-                        if h.is_merge() {
-                            let second = Address::new(
-                                u64::from_le_bytes(bytes[8..16].try_into().expect("size"))
-                                    & Address::MASK,
-                            );
-                            op.fallbacks.push(second);
-                        }
-                        let begin = self.store.inner.log.begin_address();
-                        if !next.is_valid() || next < begin {
-                            next = op.fallbacks.pop().unwrap_or(Address::INVALID);
-                        }
-                        if !next.is_valid() || next < begin {
-                            // Chain exhausted: key absent.
-                            if let Some(id) = self.rmw_complete(op, None) {
-                                done.push(Completion { id, result: Ok(Outcome::Done) });
-                            }
-                        } else {
-                            // Another hop down the chain (fresh address,
-                            // fresh transient-retry budget).
-                            op.read_addr = next;
-                            op.attempts = 0;
-                            self.reissue_io(op);
-                        }
-                    }
-                    None => {
-                        if let Some(id) = self.rmw_complete(op, None) {
-                            done.push(Completion { id, result: Ok(Outcome::Done) });
-                        }
-                    }
-                }
+                // Fresh address, fresh transient-retry budget.
+                op.read_addr = next;
+                op.attempts = 0;
+                self.issue_io(op);
             }
-            PendingKind::RmwFuzzyRetry => unreachable!("no I/O for fuzzy retries"),
         }
-    }
-
-    /// Re-issues the record read for a pending op (next chain hop, or a
-    /// bounded transient-failure retry of the same address). The op keeps
-    /// its id, kind, and accumulated state. The SQE queues locally and goes
-    /// out with the current `complete_pending` pass's next batch.
-    fn reissue_io(&self, op: PendingOp<K, V, F::Input>) {
-        self.rec.io_issued.inc();
-        self.outstanding.set(self.outstanding.get() + 1);
-        self.park_and_enqueue(op);
     }
 
     /// Applies a pending RMW's update once the old value (or its absence) is
@@ -2013,38 +1500,18 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     /// again (index changed underneath: full restart, Alg 4 line 32).
     fn rmw_complete(&self, op: PendingOp<K, V, F::Input>, old: Option<V>) -> Option<u64> {
         let inner = &self.store.inner;
-        match inner.index.find_or_create_tag(op.hash, Some(&self.guard)) {
-            CreateOutcome::Found(slot) => {
-                let entry = slot.load();
-                if entry.address() != op.entry_addr {
-                    // The chain changed while we were reading: restart.
-                    drop(slot);
-                    return match self.rmw_internal(&op.key, op.hash, &op.input, Some(op.id)) {
-                        Ok(_) => Some(op.id),
-                        Err(_) => None, // requeued pending under the same id
-                    };
-                }
-                if self.rcu_create(&slot, entry, &op.key, &op.input, old) {
-                    Some(op.id)
-                } else {
-                    match self.rmw_internal(&op.key, op.hash, &op.input, Some(op.id)) {
-                        Ok(_) => Some(op.id),
-                        Err(_) => None, // requeued pending under the same id
-                    }
-                }
-            }
-            CreateOutcome::Created(created) => {
-                // Entry vanished (deleted) meanwhile: fresh initial record.
-                let (addr, rec) = self.write_record(Address::INVALID, &op.key, 0);
-                let f = &self.store.inner.functions;
-                f.initial_updater(&op.key, &op.input, unsafe { rec.value_mut() });
-                created.finalize(addr);
-                self.count_write(&self.rec.appends);
-                let post = rec.read_value();
-                self.wal_log(crate::walrec::KIND_PUT, &op.key, Some(&post));
-                Some(op.id)
-            }
+        let applied = match Link::from(inner.index.find_or_create_tag(op.hash, Some(&self.guard))) {
+            // The chain changed while we were reading: restart.
+            Link::Swap(_, entry) if entry.address() != op.entry_addr => false,
+            link @ Link::Swap(..) => self.rcu_create(link, &op.key, &op.input, old),
+            // Entry vanished (deleted) meanwhile: fresh initial record.
+            link @ Link::Fresh(_) => self.rcu_create(link, &op.key, &op.input, None),
+        };
+        if applied {
+            return Some(op.id);
         }
+        // An `Err` re-queued it pending under the same id.
+        self.rmw_internal(&op.key, op.hash, &op.input, Some(op.id)).ok().map(|_| op.id)
     }
 
     // ========================================================== WAL replay
@@ -2056,83 +1523,34 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     pub(crate) fn replay_wal_op(&self, op: crate::walrec::WalOp<K, V>) {
         debug_assert!(self.store.inner.wal.get().is_none(), "WAL replay with a WAL attached");
         match op {
-            crate::walrec::WalOp::Put { key, value } => self.replay_put(&key, &value),
+            crate::walrec::WalOp::Put { key, value } => self.replay(&key, &value, false),
             crate::walrec::WalOp::Delete { key } => self.delete_internal(&key, hash_key(&key)),
-            crate::walrec::WalOp::Delta { key, partial } => self.replay_delta(&key, &partial),
+            crate::walrec::WalOp::Delta { key, partial } => self.replay(&key, &partial, true),
         }
         self.maybe_refresh();
     }
 
-    /// Physical redo of a full post-image: appends a record holding exactly
-    /// `value` — no writer callbacks, the bytes already are the result the
-    /// original operation produced. Idempotent, so records double-covered
-    /// by a fuzzy checkpoint converge to the same state.
-    fn replay_put(&self, key: &K, value: &V) {
-        let hash = hash_key(key);
+    /// Physical redo: appends a record holding exactly `value` — a full
+    /// post-image, or with `delta` a CRDT partial atop the key's chain — no
+    /// writer callbacks, the bytes already are what the original operation
+    /// produced. Idempotent for post-images, so records double-covered by a
+    /// fuzzy checkpoint converge to the same state. A partial whose chain
+    /// is gone folds into a fresh full value (merge with the identity is
+    /// exactly the partial's contribution).
+    fn replay(&self, key: &K, value: &V, delta: bool) {
+        let inner = &self.store.inner;
+        let f = &inner.functions;
         loop {
-            let inner = &self.store.inner;
-            match inner.index.find_or_create_tag(hash, Some(&self.guard)) {
-                CreateOutcome::Found(slot) => {
-                    let entry = slot.load();
-                    let prev = self.chain_prev_for_new_record(entry.address());
-                    let (addr, rec) = self.write_record(prev, key, 0);
-                    unsafe { *rec.value_mut() = *value };
-                    match slot.cas_address(entry, addr) {
-                        Ok(()) => {
-                            self.count_write(&self.rec.appends);
-                            return;
-                        }
-                        Err(_) => {
-                            rec.set_bits(INVALID_BIT);
-                            continue;
-                        }
-                    }
+            let link = Link::from(inner.index.find_or_create_tag(hash_key(key), Some(&self.guard)));
+            let as_delta = delta && matches!(link, Link::Swap(..));
+            let image = if delta && !as_delta { f.merge(&f.identity(), value) } else { *value };
+            let bits = if as_delta { DELTA_BIT } else { 0 };
+            if self.publish(link, key, bits, |v| *v = image).is_some() {
+                self.count_write(&self.rec.appends);
+                if as_delta {
+                    self.rec.deltas.inc();
                 }
-                CreateOutcome::Created(created) => {
-                    let (addr, rec) = self.write_record(Address::INVALID, key, 0);
-                    unsafe { *rec.value_mut() = *value };
-                    created.finalize(addr);
-                    self.count_write(&self.rec.appends);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Redo of a CRDT delta: re-appends the partial atop the key's chain,
-    /// or folds it into a fresh full value when no chain exists anymore
-    /// (merge with the identity is exactly the partial's contribution).
-    fn replay_delta(&self, key: &K, partial: &V) {
-        let hash = hash_key(key);
-        loop {
-            let inner = &self.store.inner;
-            let f = &inner.functions;
-            match inner.index.find_or_create_tag(hash, Some(&self.guard)) {
-                CreateOutcome::Found(slot) => {
-                    let entry = slot.load();
-                    let prev = self.chain_prev_for_new_record(entry.address());
-                    let (addr, rec) = self.write_record(prev, key, DELTA_BIT);
-                    unsafe { *rec.value_mut() = *partial };
-                    match slot.cas_address(entry, addr) {
-                        Ok(()) => {
-                            self.count_write(&self.rec.appends);
-                            self.rec.deltas.inc();
-                            return;
-                        }
-                        Err(_) => {
-                            rec.set_bits(INVALID_BIT);
-                            continue;
-                        }
-                    }
-                }
-                CreateOutcome::Created(created) => {
-                    let (addr, rec) = self.write_record(Address::INVALID, key, 0);
-                    let full = f.merge(&f.identity(), partial);
-                    unsafe { *rec.value_mut() = full };
-                    created.finalize(addr);
-                    self.count_write(&self.rec.appends);
-                    return;
-                }
+                return;
             }
         }
     }

@@ -148,8 +148,9 @@ fn concurrent_count_store_exactness() {
 fn batched_ops_match_scalar_inmemory() {
     let store = count_store(FasterKvConfig::small());
     let s = store.start_session();
-    let pairs: Vec<(u64, u64)> = (0..2_000u64).map(|k| (k, k * 3)).collect();
-    s.upsert_batch(&pairs).unwrap();
+    let upserts: Vec<BatchOp<u64, u64, u64>> =
+        (0..2_000u64).map(|k| BatchOp::Upsert { key: k, value: k * 3 }).collect();
+    assert!(s.execute_batch(&upserts).iter().all(|r| r.is_ok()));
     // Batch straddles present and absent keys.
     let keys: Vec<u64> = (0..2_100u64).collect();
     let results = s.read_batch(&keys, &0);
@@ -161,8 +162,9 @@ fn batched_ops_match_scalar_inmemory() {
             other => panic!("key {k}: unexpected {other:?}"),
         }
     }
-    let incs: Vec<(u64, u64)> = (0..2_000u64).map(|k| (k, 5)).collect();
-    for r in s.rmw_batch(&incs) {
+    let incs: Vec<BatchOp<u64, u64, u64>> =
+        (0..2_000u64).map(|k| BatchOp::Rmw { key: k, input: 5 }).collect();
+    for r in s.execute_batch(&incs) {
         assert!(r.is_ok(), "in-memory RMW never pends: {r:?}");
     }
     assert_eq!(read_now(&s, 10), Some(35));
@@ -185,7 +187,7 @@ fn batched_ops_match_scalar_inmemory() {
 
 #[test]
 fn concurrent_batched_rmw_exactness() {
-    // The CountStore exactness property, driven through rmw_batch: batching
+    // The CountStore exactness property, driven through execute_batch: batching
     // must not lose, duplicate, or reorder increments across threads.
     let cfg = FasterKvConfig::small()
         .with_index(faster_index::IndexConfig { k_bits: 8, tag_bits: 15, max_resize_chunks: 4 })
@@ -209,8 +211,8 @@ fn concurrent_batched_rmw_exactness() {
             let mut batch = Vec::with_capacity(batch_len);
             for _ in 0..batches {
                 batch.clear();
-                batch.extend((0..batch_len).map(|_| (rng.next_below(keys), 1u64)));
-                if s.rmw_batch(&batch).iter().any(|r| matches!(r, Err(OpError::Pending(_)))) {
+                batch.extend((0..batch_len).map(|_| BatchOp::Rmw { key: rng.next_below(keys), input: 1u64 }));
+                if s.execute_batch(&batch).iter().any(|r| matches!(r, Err(OpError::Pending(_)))) {
                     s.complete_pending(true);
                 }
             }

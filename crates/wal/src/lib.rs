@@ -230,7 +230,7 @@ impl Wal {
     }
 
     /// Appends one record, returning its LSN. The record is **not durable**
-    /// yet: pair with [`Wal::wait_durable`] / [`Wal::poll_durable`]. Fails
+    /// yet: pair with [`Wal::wait_durable`] / [`Wal::notify_durable`]. Fails
     /// if the log has already hit a sticky commit failure.
     pub fn append(&self, payload: &[u8]) -> Result<Lsn, IoError> {
         let total = RECORD_HEADER + payload.len();
@@ -270,20 +270,6 @@ impl Wal {
             }
             st = self.shared.acked.wait(st).unwrap();
         }
-    }
-
-    /// Non-blocking durability check: `Some(Ok(()))` once durable,
-    /// `Some(Err(_))` once the log has failed, `None` while still in
-    /// flight. Drives `complete_pending`-style polling.
-    pub fn poll_durable(&self, lsn: Lsn) -> Option<Result<(), IoError>> {
-        if self.shared.durable.load(Ordering::SeqCst) >= lsn {
-            return Some(Ok(()));
-        }
-        let st = self.shared.state.lock().unwrap();
-        if self.shared.durable.load(Ordering::SeqCst) >= lsn {
-            return Some(Ok(()));
-        }
-        st.failed.as_ref().map(|e| Err(e.clone()))
     }
 
     /// Registers a ring-routed durability notice: once every record with
@@ -1079,9 +1065,13 @@ mod tests {
         assert_eq!(wal.durable_lsn(), 0, "the group must never be acked");
         assert_eq!(metrics.commits.get(), 0);
         assert_eq!(metrics.commit_failures.get(), 1);
-        // The failure is sticky: later appends and polls see it too.
+        // The failure is sticky: later appends and notices see it too.
         assert!(wal.append(b"later").is_err());
-        assert!(matches!(wal.poll_durable(lsn), Some(Err(_))));
+        let ring = Arc::new(CompletionRing::new());
+        wal.notify_durable(lsn, 7, &ring);
+        let mut cqes = Vec::new();
+        ring.reap(&mut cqes);
+        assert!(matches!(cqes.as_slice(), [Cqe { id: 7, result: Err(_) }]));
         assert!(wal.failure().is_some());
     }
 

@@ -194,8 +194,9 @@ fn batched_ops_keep_the_identities() {
         FasterKv::new(small_cfg(), CountStore, MemDevice::new(2));
     let session = store.start_session();
     let keys: Vec<u64> = (0..256u64).collect();
-    let pairs: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k * 2)).collect();
-    session.upsert_batch(&pairs).unwrap();
+    let upserts: Vec<BatchOp<u64, u64, u64>> =
+        keys.iter().map(|&k| BatchOp::Upsert { key: k, value: k * 2 }).collect();
+    assert!(session.execute_batch(&upserts).iter().all(|r| r.is_ok()));
     for k in 5_000..9_000u64 {
         session.upsert(&k, &1).unwrap(); // spill so some batched reads go pending
     }
@@ -225,7 +226,7 @@ fn batched_ops_keep_the_identities() {
     if cfg!(feature = "metrics-off") {
         return;
     }
-    assert_eq!(t.batches, 3, "upsert_batch + read_batch + execute_batch");
+    assert_eq!(t.batches, 3, "upsert execute_batch + read_batch + mixed execute_batch");
     assert_eq!(t.reads, 256 + 16);
     assert_eq!(t.upserts, 256 + 4_000 + 16);
     assert!(t.reads_pending > 0, "batched reads straddled the disk: {t:?}");

@@ -2,11 +2,14 @@
 //! never-flushed HybridLog; repeat reads hit it without I/O; updates splice
 //! the cache copy out; eviction restores primary index addresses.
 
-use faster_core::{CountStore, FasterKv, FasterKvConfig, Outcome};
-use faster_hlog::HLogConfig;
+use faster_core::read_cache::{is_rc, rc_untag};
+use faster_core::record::RecordRef;
+use faster_core::{CountStore, FasterKv, FasterKvConfig, Outcome, Session};
+use faster_hlog::{HLogConfig, LogScanner};
 use faster_index::IndexConfig;
 use faster_integration_tests::{read_blocking, rmw_blocking};
 use faster_storage::MemDevice;
+use faster_util::{Address, KeyHash};
 
 fn cfg_with_cache(cache_pages: u64) -> FasterKvConfig {
     FasterKvConfig::small()
@@ -132,7 +135,7 @@ fn checkpoint_with_read_cache_resolves_tagged_entries() {
         for &(_, raw) in &data.index.entries {
             let e = faster_index::HashBucketEntry(raw);
             assert!(
-                !faster_core::read_cache::is_rc(e.address()),
+                !is_rc(e.address()),
                 "tagged entry leaked into checkpoint"
             );
         }
@@ -159,4 +162,133 @@ fn crdt_deltas_bypass_cache_coherently() {
     assert_eq!(read_blocking(&session, 13), Some(613));
     rmw_blocking(&session, 13, 1);
     assert_eq!(read_blocking(&session, 13), Some(614));
+}
+
+/// A store whose index has no tag bits, so the keys of one bucket share
+/// one chain: `b`, then its bucket-mate `a` above it, then fillers from
+/// other buckets that push both to disk. A disk read of `a` then caches it
+/// as the chain head.
+struct SharedChain {
+    store: FasterKv<u64, u64, CountStore>,
+    session: Session<u64, u64, CountStore>,
+    a: u64,
+    b: u64,
+    fillers: Vec<u64>,
+    /// A log address between `b`'s record and `a`'s.
+    between: Address,
+    /// `a`'s read-cache address (the chain head).
+    cached: Address,
+}
+
+fn shared_chain(refresh_interval: u32, cache: HLogConfig) -> SharedChain {
+    const K_BITS: u8 = 10;
+    let cfg = FasterKvConfig::small()
+        .with_index(IndexConfig { k_bits: K_BITS, tag_bits: 0, max_resize_chunks: 4 })
+        .with_log(HLogConfig { page_bits: 12, buffer_pages: 4, mutable_pages: 1, io_threads: 2 })
+        .with_max_sessions(8)
+        .with_refresh_interval(refresh_interval)
+        .with_read_cache(cache);
+    let store: FasterKv<u64, u64, CountStore> = FasterKv::new(cfg, CountStore, MemDevice::new(2));
+    let bucket = |k: u64| KeyHash::of_pod(&k).bucket_index(K_BITS);
+    let b = 1u64;
+    let a = (2..).find(|&k| bucket(k) == bucket(b)).expect("a bucket-mate of b");
+    let fillers: Vec<u64> = (10_000..).filter(|&k| bucket(k) != bucket(b)).take(4_000).collect();
+
+    let session = store.start_session();
+    session.upsert(&b, &10).expect("writable");
+    let between = store.log().tail_address();
+    session.upsert(&a, &20).expect("writable");
+    for k in &fillers {
+        session.upsert(k, &1).expect("writable");
+    }
+    session.refresh();
+    store.log().flush_barrier().unwrap();
+    assert!(store.log().head_address() > between, "`b` must be cold");
+    assert_eq!(read_blocking(&session, a), Some(20));
+    let cached = store
+        .index()
+        .find_tag(KeyHash::of_pod(&a), Some(session.guard()))
+        .expect("entry")
+        .load()
+        .address();
+    assert!(is_rc(cached), "the read cached `a` as the chain head");
+    SharedChain { store, session, a, b, fillers, between, cached }
+}
+
+/// Compaction under a read cache (see [`shared_chain`]): with `a`'s cache
+/// copy as the chain head, `compact_until` rolls `b` to the tail. The
+/// rolled copy must link to `a`'s primary record, never to the volatile
+/// cache copy: the eviction hook only repairs index entries, so an
+/// rc-tagged `prev` inside the log would dangle once the cache evicts `a`'s
+/// copy, and every read of `a` would restart from the index forever.
+#[test]
+fn compaction_under_read_cache_links_rolled_records_to_the_primary_log() {
+    let cache = HLogConfig { page_bits: 12, buffer_pages: 2, mutable_pages: 1, io_threads: 1 };
+    let SharedChain { store, session, a, b, fillers, between, cached } = shared_chain(16, cache);
+
+    assert_eq!(store.compact_until(between, &session), 1, "`b` is live and rolls");
+    let size = RecordRef::<u64, u64>::size();
+    let mut tagged_prevs = 0;
+    for page in LogScanner::full(store.log()) {
+        let page = page.expect("scan");
+        let mut off = page.start_offset;
+        while off + size <= page.end_offset {
+            let Some((h, _, _)) = RecordRef::<u64, u64>::parse_bytes(&page.bytes[off..off + size]) else {
+                break; // page padding
+            };
+            tagged_prevs += usize::from(is_rc(h.prev()));
+            off += size;
+        }
+    }
+    assert_eq!(tagged_prevs, 0, "a read-cache address persisted in a log record header");
+
+    // Churn the cache until its head passes `a`'s copy.
+    for k in &fillers {
+        read_blocking(&session, *k);
+        if store.read_cache_log().unwrap().head_address() > rc_untag(cached) {
+            break;
+        }
+    }
+    assert!(store.read_cache_log().unwrap().head_address() > rc_untag(cached), "`a`'s copy evicted");
+
+    // Read both keys on a fresh thread, so a livelocked walk fails the test
+    // instead of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reader = store.clone();
+    let handle = std::thread::spawn(move || {
+        let s = reader.start_session();
+        let _ = tx.send((read_blocking(&s, a), read_blocking(&s, b)));
+    });
+    let got = rx.recv_timeout(std::time::Duration::from_secs(10)).expect("reads of `a` and `b` livelocked");
+    handle.join().expect("reader thread");
+    assert_eq!(got, (Some(20), Some(10)));
+}
+
+/// An update whose chain head (see [`shared_chain`]) is a read-cache record
+/// the cache has just evicted. The cache log's head has passed the record,
+/// but the eviction hook that restores the index entry waits for this
+/// session's next epoch refresh, so the entry still holds the tagged
+/// address and the record's primary `prev` is out of reach. Publishing a
+/// new record then must not link it to nothing: `b`, below `a` in the
+/// shared chain, must survive.
+#[test]
+fn update_over_an_evicted_cache_head_keeps_the_chain() {
+    let cache = HLogConfig { page_bits: 10, buffer_pages: 8, mutable_pages: 2, io_threads: 1 };
+    let SharedChain { store, session, a, b, fillers, cached, .. } = shared_chain(1 << 20, cache);
+    // Grow the cache a few pages past `a`'s copy, then shrink its budget so
+    // the head passes the copy; the session does not refresh in between.
+    let rc = store.read_cache_log().unwrap();
+    for k in &fillers {
+        read_blocking(&session, *k);
+        if rc.tail_address().raw() >> 10 >= 5 {
+            break;
+        }
+    }
+    session.refresh();
+    rc.set_active_pages(2);
+    assert!(rc.head_address() > rc_untag(cached), "`a`'s cache copy is below the cache head");
+
+    session.upsert(&a, &21).expect("writable");
+    assert_eq!(read_blocking(&session, a), Some(21));
+    assert_eq!(read_blocking(&session, b), Some(10), "the update cut `b` off the chain");
 }

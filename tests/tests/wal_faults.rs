@@ -252,7 +252,10 @@ fn failed_barrier_never_acks_a_group() {
     let _ = session.upsert(&1, &11);
     let err = session.wait_wal_durable();
     assert!(err.is_err(), "group acked across a failed barrier: {err:?}");
-    assert!(matches!(session.poll_wal_durable(), Some(Err(_))));
+    // The ring-routed notice reports the same failure.
+    let id = session.notify_wal_durable().expect("the session has appended");
+    session.complete_pending(false);
+    assert!(matches!(session.take_wal_notice(id), Some(Err(_))));
 
     // Sticky: later mutations apply in memory but never become durable.
     let _ = session.upsert(&2, &22);
