@@ -23,10 +23,9 @@
 //! the paper's delivered semantics and documents the caveat.
 
 use crate::record::RecordRef;
-use crate::{FasterKv, FasterKvConfig, Functions, StoreInner};
-use faster_epoch::Epoch;
-use faster_hlog::{HybridLog, LogScanner};
-use faster_index::{CreateOutcome, HashIndex, IndexCheckpoint};
+use crate::{FasterKv, FasterKvConfig, Functions};
+use faster_hlog::LogScanner;
+use faster_index::{CreateOutcome, IndexCheckpoint};
 use faster_storage::{Device, IoError};
 use faster_util::{Address, Pod};
 use std::sync::Arc;
@@ -151,11 +150,18 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
     /// is durable, which requires active sessions to keep refreshing their
     /// epochs (they do, automatically, every `refresh_interval` ops).
     ///
+    /// Page-flush and barrier failures are latched into the log's
+    /// flush-failure counter rather than propagated; the checkpoint samples
+    /// that counter around its flush and returns `Err` when it moved, so it
+    /// never hands back a `CheckpointData` whose `[begin, t2)` range is not
+    /// durable.
+    ///
     /// Call from a maintenance thread that holds **no idle session**: the
     /// durability wait is epoch-gated, and this thread's own unrefreshed
     /// guard would stall it (see the `Session` liveness contract).
-    pub fn checkpoint(&self) -> CheckpointData {
+    pub fn checkpoint(&self) -> Result<CheckpointData, CheckpointError> {
         let inner = &self.inner;
+        let failures_before = inner.log.flush_failures();
         let t1 = inner.log.tail_address();
         let mut index = inner.index.checkpoint();
         // Appendix D: "Index checkpoints need to overwrite these [read-cache]
@@ -198,34 +204,14 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
         // quiesce first so the barrier actually covers every attempt (and no
         // stale partial-page retry can land after a later full-page flush).
         inner.log.wait_flush_quiesced();
-        // A barrier failure is latched into the log's flush-failure counter,
-        // which `checkpoint_durable` samples; plain `checkpoint()` keeps its
-        // infallible signature for in-memory/test use.
+        // A barrier failure is latched into the flush-failure counter too.
         let _ = inner.log.flush_barrier();
-        CheckpointData { t1, t2, begin: inner.log.begin_address(), index }
-    }
-
-    /// Like [`FasterKv::checkpoint`], but verifies that the log flushes the
-    /// checkpoint depends on actually reached the device. A plain
-    /// `checkpoint()` on a failing device still "completes" — page-flush and
-    /// barrier failures are latched into the log's failure counter rather
-    /// than propagated — and would hand the caller a `CheckpointData` whose
-    /// `[begin, t2)` range is not durable. This variant samples the log's
-    /// flush-failure counter around the checkpoint and refuses to return
-    /// data that the log cannot back.
-    ///
-    /// [`crate::ckpt_manager::CheckpointManager::checkpoint_store`] builds on
-    /// this: a generation is only committed to the manifest once its log
-    /// prefix is known durable.
-    pub fn checkpoint_durable(&self) -> Result<CheckpointData, CheckpointError> {
-        let failures_before = self.inner.log.flush_failures();
-        let data = self.checkpoint();
-        if self.inner.log.flush_failures() != failures_before {
-            return Err(CheckpointError::Io(faster_storage::IoError::Failed(
+        if inner.log.flush_failures() != failures_before {
+            return Err(CheckpointError::Io(IoError::Failed(
                 "log flush failed during checkpoint".into(),
             )));
         }
-        Ok(data)
+        Ok(CheckpointData { t1, t2, begin: inner.log.begin_address(), index })
     }
 
     /// Rebuilds a store from a checkpoint over the surviving `device`
@@ -242,45 +228,11 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
         device: Arc<dyn Device>,
         data: &CheckpointData,
     ) -> Self {
-        let metrics = Arc::new(faster_metrics::MetricsRegistry::new(cfg.metrics));
-        let epoch = Epoch::with_metrics(cfg.max_sessions, metrics.epoch.clone());
-        let index = HashIndex::restore_with_metrics(
-            &data.index,
-            cfg.index.max_resize_chunks,
-            epoch.clone(),
-            metrics.index.clone(),
-        );
-        let log = HybridLog::recover_with_metrics(
-            cfg.log,
-            epoch.clone(),
-            device,
-            data.begin,
-            data.t2,
-            metrics.hlog.clone(),
-        );
-        // Recovery starts without a read cache; enable it by recreating the
-        // store config if desired (cache contents are volatile anyway).
-        let store = Self {
-            inner: Arc::new(StoreInner {
-                epoch,
-                index,
-                log,
-                rc: None,
-                functions,
-                cfg,
-                metrics,
-                wal: std::sync::OnceLock::new(),
-                health: crate::health::HealthCell::new(),
-                _marker: std::marker::PhantomData,
-            }),
-        };
-        store.attach_health_hook();
-        store.replay(data.t1, data.t2);
-        store
+        Self::build(cfg, functions, device, None, Some(data))
     }
 
     /// §6.5 replay: walk `[t1, t2)` and update the fuzzy index entries.
-    fn replay(&self, t1: Address, t2: Address) {
+    pub(crate) fn replay(&self, t1: Address, t2: Address) {
         let inner = &self.inner;
         let rec_size = RecordRef::<K, V>::size();
         for page in LogScanner::new(&inner.log, t1, t2) {

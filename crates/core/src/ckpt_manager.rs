@@ -20,8 +20,8 @@
 //! ## Commit protocol (crash-atomic, no rename dependence)
 //!
 //! 1. Ensure the log itself is durable through `t2`
-//!    ([`FasterKv::checkpoint_durable`] — a flush that silently failed must
-//!    not produce a committed generation).
+//!    ([`FasterKv::checkpoint`] — a flush that silently failed must not
+//!    produce a committed generation).
 //! 2. Write the new generation's blob into fresh (or recycled) blob space —
 //!    never over a live generation — and issue a flush barrier.
 //! 3. Write the updated manifest (all retained generations + the new one,
@@ -220,7 +220,7 @@ impl CheckpointManager {
         // recovery; a racer may be both captured and replayed, which is
         // safe because WAL records are idempotent post-images (§10).
         let wal_cutoff = store.wal().map(|w| w.last_appended_lsn()).unwrap_or(0);
-        let data = store.checkpoint_durable()?;
+        let data = store.checkpoint()?;
         // GC/checkpoint invariant at birth: the log frontier cannot already
         // be above the begin this generation records.
         debug_assert!(
@@ -482,9 +482,38 @@ pub fn recover_store<K: Pod + Eq, V: Pod, F: Functions<K, V>>(
     ckpt_device: Arc<dyn Device>,
     ckpt_cfg: CheckpointConfig,
 ) -> Result<RecoveredStore<K, V, F>, CheckpointError> {
-    let (mgr, rec) = CheckpointManager::recover_latest(ckpt_device, ckpt_cfg)?;
-    let store = FasterKv::recover(store_cfg, functions, log_device, &rec.data);
-    Ok((store, mgr, rec))
+    match rebuild(store_cfg, functions, log_device, ckpt_device, ckpt_cfg)? {
+        (store, manager, Some(rec)) => Ok((store, manager, rec)),
+        (_, _, None) => Err(CheckpointError::NoValidGeneration),
+    }
+}
+
+/// What [`rebuild`] hands back: the store, its manager and the generation
+/// it was rebuilt from (`None`: no generation ever committed).
+type Rebuilt<K, V, F> = (FasterKv<K, V, F>, CheckpointManager, Option<RecoveredGeneration>);
+
+/// The arbitrate-then-rebuild step both recovery entry points share:
+/// arbitrate the checkpoint device (module docs), then build the store over
+/// `log_device` from the newest valid generation — or empty, with a fresh
+/// manager and no generation, when none ever committed.
+fn rebuild<K: Pod + Eq, V: Pod, F: Functions<K, V>>(
+    store_cfg: FasterKvConfig,
+    functions: F,
+    log_device: Arc<dyn Device>,
+    ckpt_device: Arc<dyn Device>,
+    ckpt_cfg: CheckpointConfig,
+) -> Result<Rebuilt<K, V, F>, CheckpointError> {
+    let (manager, generation) =
+        match CheckpointManager::recover_latest(ckpt_device.clone(), ckpt_cfg) {
+            Ok((mgr, rec)) => (mgr, Some(rec)),
+            Err(CheckpointError::NoValidGeneration) => {
+                (CheckpointManager::new(ckpt_device, ckpt_cfg), None)
+            }
+            Err(e) => return Err(e),
+        };
+    let restore = generation.as_ref().map(|rec| &rec.data);
+    let store = FasterKv::build(store_cfg, functions, log_device, None, restore);
+    Ok((store, manager, generation))
 }
 
 /// What [`recover_store_with_wal`] hands back.
@@ -519,18 +548,8 @@ pub fn recover_store_with_wal<K: Pod + Eq, V: Pod, F: Functions<K, V>>(
     let wal_cfg = store_cfg.wal.expect("recover_store_with_wal requires cfg.wal");
     // Checkpoint arbitration first (fallback chain); a store that never
     // committed a generation recovers to empty and replays the whole WAL.
-    let (manager, generation) =
-        match CheckpointManager::recover_latest(ckpt_device.clone(), ckpt_cfg) {
-            Ok((mgr, rec)) => (mgr, Some(rec)),
-            Err(CheckpointError::NoValidGeneration) => {
-                (CheckpointManager::new(ckpt_device, ckpt_cfg), None)
-            }
-            Err(e) => return Err(e),
-        };
-    let store = match &generation {
-        Some(rec) => FasterKv::recover(store_cfg, functions, log_device, &rec.data),
-        None => FasterKv::build(store_cfg, functions, log_device, None),
-    };
+    let (store, manager, generation) =
+        rebuild(store_cfg, functions, log_device, ckpt_device, ckpt_cfg)?;
     let skip = generation.as_ref().map(|r| r.wal_lsn).unwrap_or(0);
     let (wal, records) = faster_wal::Wal::recover(
         wal_device,

@@ -41,7 +41,6 @@ pub mod ckpt_manager;
 pub mod functions;
 pub mod gc;
 pub mod health;
-pub mod inmem;
 pub mod maintenance;
 pub mod read_cache;
 pub mod record;
@@ -55,7 +54,6 @@ pub use ckpt_manager::{
 };
 pub use functions::{BlindKv, CountStore, Functions, ValueCell};
 pub use health::{HealthReason, StoreError, StoreHealth};
-pub use inmem::{InMemKv, InMemSession};
 pub use session::{BatchOp, Completion, OpError, OpResult, Outcome, Session};
 pub use varlen::{VarKv, VarValue};
 
@@ -252,7 +250,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
     /// [`FasterKv::new_with_wal`].
     pub fn new(cfg: FasterKvConfig, functions: F, device: Arc<dyn Device>) -> Self {
         assert!(cfg.wal.is_none(), "cfg.wal set: use FasterKv::new_with_wal");
-        Self::build(cfg, functions, device, None)
+        Self::build(cfg, functions, device, None, None)
     }
 
     /// Creates a store over `device` with a group-committed WAL on
@@ -264,19 +262,46 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
         wal_device: Arc<dyn Device>,
     ) -> Self {
         let wal_cfg = cfg.wal.expect("new_with_wal requires cfg.wal");
-        Self::build(cfg, functions, device, Some((wal_device, wal_cfg)))
+        Self::build(cfg, functions, device, Some((wal_device, wal_cfg)), None)
     }
 
+    /// The one store initializer. A fresh store starts with an empty index
+    /// and log; `restore` instead starts from a checkpoint's fuzzy index
+    /// snapshot, with the log resuming after its `t2` over the on-disk
+    /// prefix `[begin, t2)`, and replays `[t1, t2)` into the index (§6.5).
+    /// Either way the store gets the same read cache, eviction hook, health
+    /// hook and metrics wiring.
     pub(crate) fn build(
         cfg: FasterKvConfig,
         functions: F,
         device: Arc<dyn Device>,
         wal: Option<(Arc<dyn Device>, faster_wal::WalConfig)>,
+        restore: Option<&CheckpointData>,
     ) -> Self {
         let metrics = Arc::new(MetricsRegistry::new(cfg.metrics));
         let epoch = Epoch::with_metrics(cfg.max_sessions, metrics.epoch.clone());
-        let index = HashIndex::with_metrics(cfg.index, epoch.clone(), metrics.index.clone());
-        let log = HybridLog::with_metrics(cfg.log, epoch.clone(), device, metrics.hlog.clone());
+        let (index, log) = match restore {
+            None => (
+                HashIndex::with_metrics(cfg.index, epoch.clone(), metrics.index.clone()),
+                HybridLog::with_metrics(cfg.log, epoch.clone(), device, metrics.hlog.clone()),
+            ),
+            Some(data) => (
+                HashIndex::restore_with_metrics(
+                    &data.index,
+                    cfg.index.max_resize_chunks,
+                    epoch.clone(),
+                    metrics.index.clone(),
+                ),
+                HybridLog::recover_with_metrics(
+                    cfg.log,
+                    epoch.clone(),
+                    device,
+                    data.begin,
+                    data.t2,
+                    metrics.hlog.clone(),
+                ),
+            ),
+        };
         let rc = cfg.read_cache.map(|c| {
             HybridLog::with_metrics(
                 c,
@@ -305,7 +330,14 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
         if let Some(w) = wal_log {
             let _ = store.inner.wal.set(w);
         }
-        store.attach_health_hook();
+        // Subscribe the health cell to the log's storage-fault stream
+        // (quarantined pages, corrupt reads).
+        let weak = Arc::downgrade(&store.inner);
+        store.inner.log.set_fault_hook(move |fault| {
+            if let Some(inner) = weak.upgrade() {
+                inner.health.on_log_fault(fault);
+            }
+        });
         if let Some(rc_log) = &store.inner.rc {
             // Eviction hook: restore index entries to the primary-log
             // addresses before cache frames are recycled (Appendix D).
@@ -316,19 +348,10 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
                 }
             });
         }
+        if let Some(data) = restore {
+            store.replay(data.t1, data.t2);
+        }
         store
-    }
-
-    /// Subscribes the health cell to the log's storage-fault stream
-    /// (quarantined pages, corrupt reads). Every construction path — plain
-    /// build and checkpoint recovery — must call this once.
-    pub(crate) fn attach_health_hook(&self) {
-        let weak = Arc::downgrade(&self.inner);
-        self.inner.log.set_fault_hook(move |fault| {
-            if let Some(inner) = weak.upgrade() {
-                inner.health.on_log_fault(fault);
-            }
-        });
     }
 
     /// Where the store sits on the degradation ladder (DESIGN.md §12).

@@ -273,37 +273,9 @@ impl HybridLog {
         device: Arc<dyn Device>,
         metrics: Arc<HlogMetrics>,
     ) -> Self {
-        cfg.validate();
-        let page_size = cfg.page_size() as usize;
-        let frames: Vec<Frame> = (0..cfg.buffer_pages).map(|_| Frame::new(page_size)).collect();
-        let frame_status: Vec<AtomicU8> =
-            (0..cfg.buffer_pages).map(|i| AtomicU8::new(if i == 0 { FRAME_OPEN } else { FRAME_CLOSED })).collect();
-        let first = Address::FIRST_VALID.raw();
-        Self {
-            inner: Arc::new(Inner {
-                cfg,
-                epoch,
-                device,
-                frames,
-                frame_status,
-                tail: AtomicU64::new(first), // page 0, offset 64
-                read_only: AtomicU64::new(0),
-                safe_read_only: AtomicU64::new(0),
-                head: AtomicU64::new(0),
-                flushed_until: AtomicU64::new(0),
-                begin: AtomicU64::new(first),
-                flush_failures: AtomicU64::new(0),
-                active_pages: AtomicU64::new(cfg.buffer_pages),
-                sealed_through: AtomicU64::new(0),
-                flush_tracker: Mutex::new(FlushTracker::new(0)),
-                flush_inflight: AtomicU64::new(0),
-                quarantined: Mutex::new(BTreeSet::new()),
-                footers: Mutex::new(HashMap::new()),
-                fault_hook: Mutex::new(None),
-                evict_hook: Mutex::new(None),
-                metrics,
-            }),
-        }
+        // Page 0, offset 64: address 0 is reserved as invalid.
+        let first = Address::FIRST_VALID;
+        Self::open(cfg, epoch, device, metrics, 0, first.raw(), first)
     }
 
     /// Re-opens a log whose prefix `[begin, tail)` already lives on `device`
@@ -322,17 +294,32 @@ impl HybridLog {
         tail: Address,
         metrics: Arc<HlogMetrics>,
     ) -> Self {
+        // Resume at a fresh page: everything below is disk-resident.
+        let resume_page = tail.raw().div_ceil(cfg.page_size());
+        Self::open(cfg, epoch, device, metrics, resume_page, 0, begin)
+    }
+
+    /// The one log initializer: frame `page` is open with the tail at
+    /// `offset` within it, everything below the page is on `device` (head,
+    /// read-only and flush markers start at the page), and `begin` is the
+    /// GC frontier.
+    fn open(
+        cfg: HLogConfig,
+        epoch: Epoch,
+        device: Arc<dyn Device>,
+        metrics: Arc<HlogMetrics>,
+        page: u64,
+        offset: u64,
+        begin: Address,
+    ) -> Self {
         cfg.validate();
         let page_size = cfg.page_size();
-        // Resume at a fresh page: everything below is disk-resident.
-        let resume_page = tail.raw().div_ceil(page_size);
-        let resume = resume_page * page_size;
-        let page_size_us = page_size as usize;
-        let frames: Vec<Frame> = (0..cfg.buffer_pages).map(|_| Frame::new(page_size_us)).collect();
+        let base = page * page_size;
+        let frames: Vec<Frame> =
+            (0..cfg.buffer_pages).map(|_| Frame::new(page_size as usize)).collect();
+        let open_frame = page % cfg.buffer_pages;
         let frame_status: Vec<AtomicU8> = (0..cfg.buffer_pages)
-            .map(|i| {
-                AtomicU8::new(if i == resume_page % cfg.buffer_pages { FRAME_OPEN } else { FRAME_CLOSED })
-            })
+            .map(|i| AtomicU8::new(if i == open_frame { FRAME_OPEN } else { FRAME_CLOSED }))
             .collect();
         Self {
             inner: Arc::new(Inner {
@@ -341,16 +328,16 @@ impl HybridLog {
                 device,
                 frames,
                 frame_status,
-                tail: AtomicU64::new(resume_page << OFFSET_BITS),
-                read_only: AtomicU64::new(resume),
-                safe_read_only: AtomicU64::new(resume),
-                head: AtomicU64::new(resume),
-                flushed_until: AtomicU64::new(resume),
+                tail: AtomicU64::new(page << OFFSET_BITS | offset),
+                read_only: AtomicU64::new(base),
+                safe_read_only: AtomicU64::new(base),
+                head: AtomicU64::new(base),
+                flushed_until: AtomicU64::new(base),
                 begin: AtomicU64::new(begin.raw()),
                 flush_failures: AtomicU64::new(0),
                 active_pages: AtomicU64::new(cfg.buffer_pages),
-                sealed_through: AtomicU64::new(resume_page),
-                flush_tracker: Mutex::new(FlushTracker::new(resume_page)),
+                sealed_through: AtomicU64::new(page),
+                flush_tracker: Mutex::new(FlushTracker::new(page)),
                 flush_inflight: AtomicU64::new(0),
                 quarantined: Mutex::new(BTreeSet::new()),
                 footers: Mutex::new(HashMap::new()),
@@ -817,8 +804,8 @@ impl HybridLog {
     /// Blocks until every issued page flush has completed on the device and
     /// is durable. A barrier failure means durability of already-acked page
     /// writes is unknown; it is latched into [`HybridLog::flush_failures`]
-    /// (and the metrics counter) so `checkpoint_durable`-style protocols
-    /// that sample the counter also observe it.
+    /// (and the metrics counter) so checkpoint protocols (the store's
+    /// `checkpoint()`) that sample the counter also observe it.
     pub fn flush_barrier(&self) -> Result<(), faster_storage::IoError> {
         let res = self.inner.device.flush_barrier();
         if res.is_err() {
@@ -1033,9 +1020,9 @@ impl Inner {
                         // Failed attempts feed the `flushes_failed` metric
                         // but NOT `flush_failures`: a transient fault whose
                         // retry lands leaves the device bytes intact, and
-                        // `checkpoint_durable` quiesces before sampling, so
-                        // only *terminal* outcomes (quarantine, barrier
-                        // failure) may poison its durability window.
+                        // the store's `checkpoint()` quiesces before
+                        // sampling, so only *terminal* outcomes (quarantine,
+                        // barrier failure) may poison its durability window.
                         Err(err) => {
                             inner.metrics.flushes_failed.inc();
                             let transient = matches!(err, IoError::Failed(_));

@@ -166,7 +166,7 @@ pub fn run_crash_recovery_case(
         }
         session.complete_pending(true);
     }
-    let ckpt = store.checkpoint();
+    let ckpt = store.checkpoint().expect("checkpoint");
     let snapshot = oracle.clone();
 
     // Round-trip the checkpoint through its serialized form, as a real

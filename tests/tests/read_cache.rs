@@ -2,14 +2,16 @@
 //! never-flushed HybridLog; repeat reads hit it without I/O; updates splice
 //! the cache copy out; eviction restores primary index addresses.
 
+use faster_core::ckpt_manager::{self, CheckpointConfig, CheckpointManager};
 use faster_core::read_cache::{is_rc, rc_untag};
 use faster_core::record::RecordRef;
-use faster_core::{CountStore, FasterKv, FasterKvConfig, Outcome, Session};
+use faster_core::{CountStore, FasterKv, FasterKvConfig, Outcome, Session, WalConfig};
 use faster_hlog::{HLogConfig, LogScanner};
 use faster_index::IndexConfig;
 use faster_integration_tests::{read_blocking, rmw_blocking};
-use faster_storage::MemDevice;
+use faster_storage::{Device, MemDevice};
 use faster_util::{Address, KeyHash};
+use std::sync::Arc;
 
 fn cfg_with_cache(cache_pages: u64) -> FasterKvConfig {
     FasterKvConfig::small()
@@ -25,17 +27,21 @@ fn cfg_with_cache(cache_pages: u64) -> FasterKvConfig {
         })
 }
 
-/// Builds a store where keys 0..100 are cold (on disk) and returns it.
-fn store_with_cold_keys(cache_pages: u64) -> FasterKv<u64, u64, CountStore> {
-    let store: FasterKv<u64, u64, CountStore> =
-        FasterKv::new(cfg_with_cache(cache_pages), CountStore, MemDevice::new(2));
-    let session = store.start_session();
+/// Writes keys 0..100, then enough later keys to push them to disk.
+fn load_cold_keys(session: &Session<u64, u64, CountStore>) {
     for k in 0..100u64 {
         session.upsert(&k, &(k + 500)).expect("writable");
     }
     for k in 10_000..14_000u64 {
-        session.upsert(&k, &1).expect("writable"); // push 0..100 to disk
+        session.upsert(&k, &1).expect("writable");
     }
+}
+
+/// Builds a store where keys 0..100 are cold (on disk) and returns it.
+fn store_with_cold_keys(cache_pages: u64) -> FasterKv<u64, u64, CountStore> {
+    let store: FasterKv<u64, u64, CountStore> =
+        FasterKv::new(cfg_with_cache(cache_pages), CountStore, MemDevice::new(2));
+    load_cold_keys(&store.start_session());
     store.log().flush_barrier().unwrap();
     assert!(store.log().head_address().raw() > 0);
     store
@@ -130,7 +136,7 @@ fn checkpoint_with_read_cache_resolves_tagged_entries() {
             assert_eq!(read_blocking(&session, k), Some(k + 500));
         }
         drop(session);
-        data = store.checkpoint();
+        data = store.checkpoint().expect("checkpoint");
         // No tagged addresses may leak into the checkpoint.
         for &(_, raw) in &data.index.entries {
             let e = faster_index::HashBucketEntry(raw);
@@ -291,4 +297,69 @@ fn update_over_an_evicted_cache_head_keeps_the_chain() {
     session.upsert(&a, &21).expect("writable");
     assert_eq!(read_blocking(&session, a), Some(21));
     assert_eq!(read_blocking(&session, b), Some(10), "the update cut `b` off the chain");
+}
+
+/// A recovered store runs with the read cache its config asks for: the
+/// first read of a cold key goes to disk and fills the cache, the second is
+/// a synchronous cache hit.
+fn assert_recovered_store_caches(store: &FasterKv<u64, u64, CountStore>) {
+    assert!(store.read_cache_log().is_some(), "recovered store dropped its read cache");
+    let session = store.start_session();
+    assert_eq!(read_blocking(&session, 5), Some(505));
+    let hits = || store.metrics().read_cache.expect("read-cache metrics").hits;
+    let before = hits();
+    assert_eq!(session.read(&5, &0), Ok(Outcome::Value(505)), "second read is a cache hit");
+    assert!(hits() > before, "cache hit not counted");
+}
+
+#[test]
+fn checkpoint_recovery_keeps_the_read_cache() {
+    let log_dev: Arc<dyn Device> = MemDevice::new(2);
+    let ckpt_dev: Arc<dyn Device> = MemDevice::new(1);
+    {
+        let store: FasterKv<u64, u64, CountStore> =
+            FasterKv::new(cfg_with_cache(8), CountStore, log_dev.clone());
+        load_cold_keys(&store.start_session());
+        let mgr = CheckpointManager::new(ckpt_dev.clone(), CheckpointConfig::default());
+        mgr.checkpoint_store(&store).expect("commit");
+    }
+    let (store, _mgr, _gen) = ckpt_manager::recover_store::<u64, u64, CountStore>(
+        cfg_with_cache(8),
+        CountStore,
+        log_dev,
+        ckpt_dev,
+        CheckpointConfig::default(),
+    )
+    .expect("recovery");
+    assert_recovered_store_caches(&store);
+}
+
+#[test]
+fn wal_recovery_from_a_generation_keeps_the_read_cache() {
+    let cfg = cfg_with_cache(8)
+        .with_wal(WalConfig { batch_window: std::time::Duration::ZERO, segment_size: 4096 });
+    let log_dev: Arc<dyn Device> = MemDevice::new(2);
+    let ckpt_dev: Arc<dyn Device> = MemDevice::new(1);
+    let wal_dev: Arc<dyn Device> = MemDevice::new(1);
+    {
+        let store: FasterKv<u64, u64, CountStore> =
+            FasterKv::new_with_wal(cfg, CountStore, log_dev.clone(), wal_dev.clone());
+        let session = store.start_session();
+        load_cold_keys(&session);
+        session.wait_wal_durable().unwrap();
+        drop(session);
+        let mgr = CheckpointManager::new(ckpt_dev.clone(), CheckpointConfig::default());
+        mgr.checkpoint_store(&store).expect("commit");
+    }
+    let rec = ckpt_manager::recover_store_with_wal::<u64, u64, CountStore>(
+        cfg,
+        CountStore,
+        log_dev,
+        ckpt_dev,
+        wal_dev,
+        CheckpointConfig::default(),
+    )
+    .expect("recovery");
+    assert!(rec.generation.is_some(), "recovered from the committed generation");
+    assert_recovered_store_caches(&rec.store);
 }
